@@ -1,56 +1,78 @@
 // Content-hash-keyed LRU caches for the serving layer.
 //
-// ContentLru maps content_hash64(canonical string) -> Value with true LRU
-// eviction (std::list recency order + hash index, O(1) per operation) and a
-// canonical-string guard: every entry stores the canonical text it was
-// keyed by, and a lookup whose hash matches but whose text differs is
-// treated as a miss (and counted) instead of silently serving a colliding
-// entry — the same fail-loud posture the result store takes on spec-hash
-// collisions. Thread-safe; values are returned by copy so a concurrent
-// eviction can never invalidate a served response.
+// ContentLru maps a 64-bit content hash -> Value with true LRU eviction
+// (std::list recency order + hash index, O(1) per operation) and a
+// collision guard: every entry stores the full key it was inserted under,
+// and a lookup whose hash matches but whose key differs is treated as a
+// miss (and counted) instead of silently serving a colliding entry — the
+// same fail-loud posture the result store takes on spec-hash collisions.
+// Thread-safe; values are returned by copy so a concurrent eviction can
+// never invalidate a served response.
+//
+// The serving keys are SharedTextKey: a short header plus a megabyte-scale
+// text held in one shared immutable buffer. Caches and in-flight entries
+// share that buffer instead of each holding a copy, and the guard compares
+// buffer pointers before it compares bytes, so a repeat of a known document
+// is checked in O(header).
 //
 // Two instantiations serve the server loop:
 //   * ResponseCache  (Value = CachedSolve): the request -> response cache.
-//     Keyed by the full request identity (workload + engine + seed +
-//     y_limit + budget, deadline excluded — see serve/protocol.h); a hit is
+//     Keyed by the request identity (workload + engine + seed + y_limit +
+//     budget, deadline excluded — see serve/protocol.h); a hit is
 //     bit-identical to the cold solve because the cached fields are exactly
 //     the deterministic part of the response (schedule CSV, makespan,
 //     evals, steps).
-//   * the server's parsed-workload cache (Value = shared_ptr<Workload>),
-//     keyed by the raw workload document, so repeated bodies skip
-//     re-parsing even when budget or engine differ.
+//   * WorkloadCache  (Value = CanonicalWorkload): keyed by the raw workload
+//     document, so a repeated body skips re-parsing and re-canonicalizing
+//     even when budget or engine differ.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "hc/workload.h"
+
 namespace sehc {
 
-template <typename Value>
+/// A collision-guard key whose bulk lives in a shared immutable buffer.
+/// Two keys are equal exactly when their header and text bytes are equal;
+/// sharing one buffer only makes that check O(header).
+struct SharedTextKey {
+  std::string header;
+  std::shared_ptr<const std::string> text;
+
+  friend bool operator==(const SharedTextKey& a, const SharedTextKey& b) {
+    if (a.header != b.header) return false;
+    if (a.text == b.text) return true;
+    return a.text && b.text && *a.text == *b.text;
+  }
+};
+
+template <typename Value, typename Key = std::string>
 class ContentLru {
  public:
   /// `capacity` == 0 disables the cache (every lookup misses, inserts are
   /// dropped); otherwise at most `capacity` entries are retained.
   explicit ContentLru(std::size_t capacity) : capacity_(capacity) {}
 
-  /// The cached value for (hash, canonical), or nullopt. A hit refreshes
-  /// the entry's recency.
-  std::optional<Value> lookup(std::uint64_t hash,
-                              const std::string& canonical) {
+  /// The cached value for (hash, key), or nullopt. A hit refreshes the
+  /// entry's recency.
+  std::optional<Value> lookup(std::uint64_t hash, const Key& key) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(hash);
     if (it == index_.end()) {
       ++misses_;
       return std::nullopt;
     }
-    if (it->second->canonical != canonical) {
-      // 64-bit hash collision between distinct canonical strings: refuse to
-      // serve the wrong entry. insert() will overwrite it.
+    if (it->second->key != key) {
+      // 64-bit hash collision between distinct keys: refuse to serve the
+      // wrong entry. insert() will overwrite it.
       ++collisions_;
       ++misses_;
       return std::nullopt;
@@ -62,12 +84,12 @@ class ContentLru {
 
   /// Inserts (or overwrites) the entry, evicting the least recently used
   /// one when full.
-  void insert(std::uint64_t hash, std::string canonical, Value value) {
+  void insert(std::uint64_t hash, Key key, Value value) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (capacity_ == 0) return;
     auto it = index_.find(hash);
     if (it != index_.end()) {
-      it->second->canonical = std::move(canonical);
+      it->second->key = std::move(key);
       it->second->value = std::move(value);
       entries_.splice(entries_.begin(), entries_, it->second);
       return;
@@ -77,7 +99,7 @@ class ContentLru {
       entries_.pop_back();
       ++evictions_;
     }
-    entries_.push_front(Entry{hash, std::move(canonical), std::move(value)});
+    entries_.push_front(Entry{hash, std::move(key), std::move(value)});
     index_[hash] = entries_.begin();
   }
 
@@ -101,7 +123,7 @@ class ContentLru {
  private:
   struct Entry {
     std::uint64_t hash = 0;
-    std::string canonical;
+    Key key;
     Value value;
   };
 
@@ -131,6 +153,17 @@ struct CachedSolve {
   std::string schedule_csv;
 };
 
-using ResponseCache = ContentLru<CachedSolve>;
+using ResponseCache = ContentLru<CachedSolve, SharedTextKey>;
+
+/// A parsed workload document and its canonical text (workload_to_string),
+/// computed once per distinct document. `text` is the one shared buffer
+/// every request key for this workload points at.
+struct CanonicalWorkload {
+  std::shared_ptr<const Workload> workload;
+  std::shared_ptr<const std::string> text;
+  std::uint64_t hash = 0;  // content_hash64(*text)
+};
+
+using WorkloadCache = ContentLru<CanonicalWorkload, SharedTextKey>;
 
 }  // namespace sehc

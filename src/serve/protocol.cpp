@@ -255,8 +255,7 @@ std::string ScheduleRequest::serialize() const {
 }
 
 ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
-  const KvDocument doc = parse_kv_document(payload, kRequestMagic,
-                                           "workload:");
+  KvDocument doc = parse_kv_document(payload, kRequestMagic, "workload:");
   ScheduleRequest req;
   for (const auto& [key, value] : doc.fields) {
     if (key == "op") {
@@ -279,22 +278,21 @@ ScheduleRequest ScheduleRequest::parse(const std::string& payload) {
       proto_fail("unknown request field '" + key + "'");
     }
   }
-  req.workload_text = doc.section;
+  req.workload_text = std::move(doc.section);
   if (req.op == "solve" && req.workload_text.empty()) {
     proto_fail("solve request carries no workload section");
   }
   return req;
 }
 
-std::string ScheduleRequest::canonical_string(
-    const std::string& canonical_workload) const {
+std::string ScheduleRequest::identity_header() const {
   std::ostringstream os;
   os << "sehc-serve-request v1\n";
   os << "engine=" << engine << '\n';
   os << "seed=" << seed << '\n';
   os << "y_limit=" << y_limit << '\n';
   os << "budget=" << budget_token(budget) << '\n';
-  os << "workload:\n" << canonical_workload;
+  os << "workload:\n";
   return os.str();
 }
 

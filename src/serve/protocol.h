@@ -25,13 +25,19 @@
 //   workload:                    task,name,machine,start,finish CSV
 //   <sehc-workload v1 document>  ...
 //
-// Request identity (the response-cache key) is
-// content_hash64(canonical_request_string()): the workload re-serialized
-// through workload_to_string (so formatting differences in the submitted
-// document cannot split the cache) plus engine/seed/y_limit/budget in fixed
+// Request identity (the response-cache key) is identity_header() followed
+// by the workload re-serialized through workload_to_string (so formatting
+// differences in the submitted document cannot split the cache), compared
+// as full text. The header carries engine/seed/y_limit/budget in fixed
 // order. deadline_ms is deliberately excluded — a deadline bounds how long
 // the caller waits, not what the fully-solved answer is, so a cached
 // complete answer may legitimately serve a later deadline-limited request.
+//
+// The server computes the canonical workload text once per distinct
+// document and keeps it in one shared buffer (serve/cache.h): the cache key
+// hashes the header together with content_hash64 of that text, and the
+// collision guard compares the header and the shared text, pointer first.
+// A repeated document is never re-serialized.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +106,9 @@ struct ScheduleRequest {
   static std::string budget_token(const Budget& budget);
   static Budget parse_budget_token(const std::string& token);
 
-  /// Canonical identity string (see file header); `canonical_workload` must
-  /// be the workload re-serialized via workload_to_string.
-  std::string canonical_string(const std::string& canonical_workload) const;
+  /// The request's identity minus its workload (see file header): the
+  /// identity is this header followed by the canonical workload text.
+  std::string identity_header() const;
 };
 
 // --- Responses -------------------------------------------------------------

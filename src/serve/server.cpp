@@ -52,6 +52,13 @@ bool poll_readable(int fd, int timeout_ms) {
   }
 }
 
+/// Cache hash of a request key, from its header and the content hash of its
+/// canonical workload text, so it never touches the text itself.
+std::uint64_t request_hash(const SharedTextKey& key,
+                           std::uint64_t workload_hash) {
+  return content_hash64(key.header + std::to_string(workload_hash));
+}
+
 void raise_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
   std::uint64_t seen = target.load();
   while (value > seen && !target.compare_exchange_weak(seen, value)) {
@@ -73,8 +80,8 @@ struct SolveOutcome {
 /// One admitted cache-miss request plus everyone waiting on it.
 struct Server::InFlight {
   std::uint64_t hash = 0;
-  std::string canonical;
-  ScheduleRequest request;                   // workload_text cleared
+  SharedTextKey key;
+  ScheduleRequest request;                   // workload_text moved out
   std::shared_ptr<const Workload> workload;  // parsed once, shared
   std::vector<std::promise<SolveOutcome>> promises;  // guarded by inflight_mutex_
 };
@@ -89,14 +96,14 @@ struct Server::InFlight {
 /// trial state on init() — so a recycled slot can never expose a stale
 /// prepared snapshot to the next request.
 struct Server::WorkerSlot {
-  std::uint64_t request_hash = 0;  // identity of the retained engine
+  SharedTextKey key;  // identity of the retained engine
   std::shared_ptr<const Workload> workload;
   std::unique_ptr<SearchEngine> engine;
 
   void reset() {
     engine.reset();
     workload.reset();
-    request_hash = 0;
+    key = {};
   }
 };
 
@@ -218,6 +225,7 @@ void Server::connection_loop(int fd) {
       if (draining_.load()) break;
       continue;
     }
+    const Clock::time_point read_start = Clock::now();
     std::optional<std::string> payload;
     try {
       payload = read_frame(fd, options_.max_frame_bytes);
@@ -229,7 +237,7 @@ void Server::connection_loop(int fd) {
     }
     if (!payload) break;  // clean EOF
     try {
-      handle_payload(fd, *payload);
+      handle_payload(fd, *payload, read_start);
     } catch (const ProtocolError&) {
       // Response write failed: peer vanished mid-reply.
       protocol_errors_.fetch_add(1);
@@ -240,7 +248,8 @@ void Server::connection_loop(int fd) {
   open_connections_.fetch_sub(1);
 }
 
-void Server::handle_payload(int fd, const std::string& payload) {
+void Server::handle_payload(int fd, const std::string& payload,
+                            Clock::time_point read_start) {
   ScheduleRequest request;
   try {
     request = ScheduleRequest::parse(payload);
@@ -263,27 +272,42 @@ void Server::handle_payload(int fd, const std::string& payload) {
     respond_metrics(fd);
     return;
   }
-  handle_solve(fd, request);
+  handle_solve(fd, std::move(request), read_start);
 }
 
-void Server::handle_solve(int fd, const ScheduleRequest& request) {
+CanonicalWorkload Server::canonical_workload(std::string raw_text) {
+  auto raw = std::make_shared<const std::string>(std::move(raw_text));
+  const std::uint64_t raw_hash = content_hash64(*raw);
+  SharedTextKey raw_key{{}, raw};
+  if (auto cached = workload_cache_.lookup(raw_hash, raw_key)) return *cached;
+
+  CanonicalWorkload entry;
+  entry.workload = std::make_shared<const Workload>(workload_from_string(*raw));
+  std::string text = workload_to_string(*entry.workload);
+  if (text == *raw) {
+    // Already canonical (what workload_to_string clients send): the request
+    // buffer itself becomes the one shared copy of the text.
+    entry.text = raw;
+    entry.hash = raw_hash;
+  } else {
+    entry.text = std::make_shared<const std::string>(std::move(text));
+    entry.hash = content_hash64(*entry.text);
+  }
+  workload_cache_.insert(raw_hash, std::move(raw_key), entry);
+  return entry;
+}
+
+void Server::handle_solve(int fd, ScheduleRequest request,
+                          Clock::time_point read_start) {
   const Clock::time_point arrival = Clock::now();
+  metrics_.phase_record("request/read", 1, 0, sec_between(read_start, arrival));
   ScheduleResponse resp;
 
-  // Parse (or recall) the workload and canonicalize the request. The
-  // workload cache is keyed by the raw document bytes: repeated bodies skip
-  // the matrix parse even when engine/seed/budget differ.
-  std::shared_ptr<const Workload> workload;
-  const std::uint64_t body_hash = content_hash64(request.workload_text);
+  // Canonicalize the request: a known document costs one hash and compare
+  // of its raw bytes; only a new one is parsed and re-serialized.
+  CanonicalWorkload workload;
   try {
-    if (auto cached = workload_cache_.lookup(body_hash,
-                                             request.workload_text)) {
-      workload = *cached;
-    } else {
-      workload = std::make_shared<const Workload>(
-          workload_from_string(request.workload_text));
-      workload_cache_.insert(body_hash, request.workload_text, workload);
-    }
+    workload = canonical_workload(std::move(request.workload_text));
   } catch (const std::exception& e) {
     errors_.fetch_add(1);
     resp.status = ServeStatus::kError;
@@ -291,15 +315,13 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
     write_frame(fd, resp.serialize());
     return;
   }
-
-  const std::string canonical =
-      request.canonical_string(workload_to_string(*workload));
-  const std::uint64_t hash = content_hash64(canonical);
+  SharedTextKey key{request.identity_header(), workload.text};
+  const std::uint64_t hash = request_hash(key, workload.hash);
   const Clock::time_point parsed = Clock::now();
   metrics_.phase_record("request/parse", 1, 0, sec_between(arrival, parsed));
 
   // Response cache: a hit IS the cold solve's deterministic bytes.
-  const auto cached = cache_.lookup(hash, canonical);
+  const auto cached = cache_.lookup(hash, key);
   metrics_.phase_record("request/cache_lookup", 1, 0,
                         sec_between(parsed, Clock::now()));
   if (cached) {
@@ -310,9 +332,12 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
     resp.schedule_csv = cached->schedule_csv;
     resp.cache_hit = true;
     completed_.fetch_add(1);
+    const Clock::time_point reply_start = Clock::now();
     write_frame(fd, resp.serialize());
-    metrics_.hist_record("latency/request_us",
-                         us_between(arrival, Clock::now()));
+    const Clock::time_point done = Clock::now();
+    metrics_.phase_record("request/reply", 1, 0,
+                          sec_between(reply_start, done));
+    metrics_.hist_record("latency/request_us", us_between(read_start, done));
     return;
   }
 
@@ -328,20 +353,21 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
   // identical request, or register and enqueue a new entry. Holding the
   // lock across try_push keeps attach/shed races out.
   std::future<SolveOutcome> future;
+  Clock::time_point admitted;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
+    admitted = Clock::now();
     auto it = inflight_.find(hash);
-    if (it != inflight_.end() && it->second->canonical == canonical) {
+    if (it != inflight_.end() && it->second->key == key) {
       it->second->promises.emplace_back();
       future = it->second->promises.back().get_future();
       coalesced_.fetch_add(1);
     } else {
       auto entry = std::make_shared<InFlight>();
       entry->hash = hash;
-      entry->canonical = canonical;
-      entry->request = request;
-      entry->request.workload_text.clear();  // parsed copy travels instead
-      entry->workload = workload;
+      entry->key = std::move(key);
+      entry->request = std::move(request);
+      entry->workload = std::move(workload.workload);
       entry->promises.emplace_back();
       future = entry->promises.back().get_future();
       if (!queue_.try_push(entry)) {
@@ -369,9 +395,9 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
   resp.steps = outcome.result.steps;
   resp.schedule_csv = outcome.result.schedule_csv;
   resp.timed_out = outcome.timed_out;
-  // Per-request accounting: queue wait is from THIS request's arrival (a
+  // Per-request accounting: queue wait is from THIS request's admission (a
   // coalesced rider waited less than the request that started the solve).
-  resp.queue_ms = std::max(0.0, ms_between(arrival, outcome.solve_start));
+  resp.queue_ms = std::max(0.0, ms_between(admitted, outcome.solve_start));
   resp.solve_ms = ms_between(outcome.solve_start, outcome.solve_end);
   completed_.fetch_add(1);
   const Clock::time_point reply_start = Clock::now();
@@ -383,7 +409,7 @@ void Server::handle_solve(int fd, const ScheduleRequest& request) {
                        static_cast<std::uint64_t>(resp.queue_ms * 1e3));
   metrics_.hist_record("latency/solve_us",
                        static_cast<std::uint64_t>(resp.solve_ms * 1e3));
-  metrics_.hist_record("latency/request_us", us_between(arrival, done));
+  metrics_.hist_record("latency/request_us", us_between(read_start, done));
 }
 
 void Server::dispatch_loop() {
@@ -433,7 +459,7 @@ void Server::solve_on_slot(std::size_t slot_index,
     // request identity (the deadline-preempted-retry pattern; see
     // WorkerSlot). run_search() re-init()s it, which restores the full RNG
     // and evaluator state of a cold start.
-    if (slot.engine && slot.request_hash == entry->hash) {
+    if (slot.engine && slot.key == entry->key) {
       slot_reuses_.fetch_add(1);
     } else {
       slot.reset();
@@ -455,7 +481,7 @@ void Server::solve_on_slot(std::size_t slot_index,
         }
         SEHC_CHECK(found, "unknown engine '" + req.engine + "'");
       }
-      slot.request_hash = entry->hash;
+      slot.key = entry->key;
     }
 
     Deadline deadline;
@@ -502,12 +528,14 @@ void Server::solve_on_slot(std::size_t slot_index,
   // Cache before unregistering so a request arriving in the gap either
   // attaches (pre-erase) or hits the cache (post-insert) — never re-solves.
   if (outcome.ok && !outcome.timed_out) {
-    cache_.insert(entry->hash, entry->canonical, outcome.result);
+    cache_.insert(entry->hash, entry->key, outcome.result);
   }
   std::vector<std::promise<SolveOutcome>> promises;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(entry->hash);
+    // A colliding request may have replaced this entry; leave that one.
+    auto it = inflight_.find(entry->hash);
+    if (it != inflight_.end() && it->second == entry) inflight_.erase(it);
     promises = std::move(entry->promises);
   }
   for (std::promise<SolveOutcome>& p : promises) p.set_value(outcome);

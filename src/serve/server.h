@@ -6,8 +6,8 @@
 //   connection thread                dispatcher            ThreadPool worker
 //   -----------------                ----------            -----------------
 //   read frame, parse request
-//   parse workload (LRU by body)
-//   canonicalize + content-hash
+//   workload cache by raw body --miss--> parse + canonicalize once
+//   request key = header + shared canonical text
 //   response cache lookup --hit--> reply (bit-identical to the cold solve)
 //   single-flight: identical
 //     request already in flight? --> attach, wait  <------ fulfil promises
@@ -32,6 +32,11 @@
 //     bit-identical to the cold solve (deterministic fields are cached
 //     verbatim). Timed-out solves are never cached: their incumbent depends
 //     on wall clock, and the next identical request deserves a full solve;
+//   * canonicalize once — a workload document is parsed and re-serialized
+//     only the first time its bytes are seen; the canonical text is one
+//     shared buffer that the workload cache, the response cache, in-flight
+//     entries and worker slots all point at, so a cache hit serializes
+//     nothing and no cache holds its own copy of a document;
 //   * deadline preemption — every solve runs under run_search with the
 //     request's Deadline armed, so an expired deadline answers early with
 //     the incumbent best() and timed_out=1;
@@ -46,6 +51,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -136,8 +142,9 @@ class Server {
   const ServeOptions& options() const { return options_; }
   bool draining() const { return draining_.load(); }
   ServerStats stats_snapshot() const;
-  /// Observability registry: per-request phase timings (parse, cache
-  /// lookup, queue, solve, reply), server-wide latency histograms, and the
+  /// Observability registry: per-request phase timings (read, parse, cache
+  /// lookup, queue, solve, reply — together they tile a request's time on
+  /// the server), server-wide latency histograms, and the
   /// engine counters run_search flushes from solve slots. The `metrics`
   /// endpoint serializes snapshots of it.
   MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
@@ -149,9 +156,15 @@ class Server {
   void accept_loop();
   void connection_loop(int fd);
   void dispatch_loop();
-  /// Handles one parsed frame on a connection; writes exactly one response.
-  void handle_payload(int fd, const std::string& payload);
-  void handle_solve(int fd, const ScheduleRequest& request);
+  /// Handles one frame on a connection, read from `read_start` on; writes
+  /// exactly one response.
+  void handle_payload(int fd, const std::string& payload,
+                      std::chrono::steady_clock::time_point read_start);
+  void handle_solve(int fd, ScheduleRequest request,
+                    std::chrono::steady_clock::time_point read_start);
+  /// The workload cache entry for a raw document: recalled, or parsed and
+  /// canonicalized now. Throws on a malformed document.
+  CanonicalWorkload canonical_workload(std::string raw_text);
   void respond_stats(int fd);
   void respond_metrics(int fd);
   void solve_on_slot(std::size_t slot_index, const std::shared_ptr<InFlight>& entry);
@@ -163,7 +176,7 @@ class Server {
 
   std::unique_ptr<ThreadPool> pool_;
   ResponseCache cache_;
-  ContentLru<std::shared_ptr<const Workload>> workload_cache_;
+  WorkloadCache workload_cache_;
   BoundedQueue<std::shared_ptr<InFlight>> queue_;
 
   std::vector<std::unique_ptr<WorkerSlot>> slots_;

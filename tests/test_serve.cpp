@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -240,22 +242,22 @@ TEST(ServeResponse, ErrorMessageNewlinesAreFolded) {
 }
 
 TEST(ServeRequest, CanonicalIdentityExcludesDeadlineIncludesBudget) {
-  const std::string canonical_workload = small_workload_text(3);
-  ScheduleRequest a = solve_request(canonical_workload);
+  ScheduleRequest a = solve_request(small_workload_text(3));
   ScheduleRequest b = a;
   b.deadline_ms = 500.0;  // deadline must not split the cache
-  EXPECT_EQ(content_hash64(a.canonical_string(canonical_workload)),
-            content_hash64(b.canonical_string(canonical_workload)));
+  EXPECT_EQ(a.identity_header(), b.identity_header());
 
   ScheduleRequest c = a;
   c.budget = Budget::steps(9);  // budget is part of the identity
-  EXPECT_NE(content_hash64(a.canonical_string(canonical_workload)),
-            content_hash64(c.canonical_string(canonical_workload)));
+  EXPECT_NE(a.identity_header(), c.identity_header());
 
   ScheduleRequest d = a;
   d.seed = a.seed + 1;
-  EXPECT_NE(content_hash64(a.canonical_string(canonical_workload)),
-            content_hash64(d.canonical_string(canonical_workload)));
+  EXPECT_NE(a.identity_header(), d.identity_header());
+
+  ScheduleRequest e = a;
+  e.workload_text = small_workload_text(4);  // the workload is not
+  EXPECT_EQ(a.identity_header(), e.identity_header());
 }
 
 // --- ContentLru ------------------------------------------------------------
@@ -279,6 +281,26 @@ TEST(ContentLruTest, HashCollisionIsAMissNotAWrongAnswer) {
   EXPECT_EQ(lru.collisions(), 1u);
   // The true entry still serves.
   EXPECT_EQ(lru.lookup(42, "alpha").value(), 1);
+}
+
+TEST(ContentLruTest, SharedTextKeyComparesPointerThenContent) {
+  ContentLru<int, SharedTextKey> lru(4);
+  const auto text = std::make_shared<const std::string>("workload bytes");
+  lru.insert(7, SharedTextKey{"header\n", text}, 1);
+
+  // The same shared buffer: a hit without touching the text.
+  EXPECT_EQ(lru.lookup(7, SharedTextKey{"header\n", text}).value(), 1);
+  // A different buffer with equal bytes: still a hit.
+  const auto copy = std::make_shared<const std::string>(*text);
+  EXPECT_EQ(lru.lookup(7, SharedTextKey{"header\n", copy}).value(), 1);
+  EXPECT_EQ(lru.hits(), 2u);
+
+  // Same hash, different text or header: a counted collision, not a hit.
+  const auto other = std::make_shared<const std::string>("other bytes");
+  EXPECT_FALSE(lru.lookup(7, SharedTextKey{"header\n", other}).has_value());
+  EXPECT_FALSE(lru.lookup(7, SharedTextKey{"other\n", text}).has_value());
+  EXPECT_EQ(lru.collisions(), 2u);
+  EXPECT_EQ(lru.lookup(7, SharedTextKey{"header\n", text}).value(), 1);
 }
 
 TEST(ContentLruTest, ZeroCapacityDisables) {
@@ -692,6 +714,123 @@ TEST(ServeServer, StatsEndpointReportsCounters) {
   EXPECT_EQ(value_of("draining"), "0");
   EXPECT_NE(value_of("batches"), "<absent>");
   EXPECT_NE(value_of("queue_peak"), "<absent>");
+  server.request_drain();
+  server.join();
+}
+
+/// The value of `key` in a stats/metrics response's extra fields.
+std::string extra_field(const ScheduleResponse& resp, const std::string& key) {
+  for (const auto& [k, v] : resp.extra) {
+    if (k == key) return v;
+  }
+  return "<absent>";
+}
+
+ScheduleResponse op_call(const std::string& socket_path, const char* op) {
+  ScheduleRequest req;
+  req.op = op;
+  return one_call(socket_path, req);
+}
+
+void expect_same_answer(const ScheduleResponse& a, const ScheduleResponse& b) {
+  ASSERT_EQ(a.status, ServeStatus::kOk) << a.error;
+  ASSERT_EQ(b.status, ServeStatus::kOk) << b.error;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.makespan),
+            std::bit_cast<std::uint64_t>(b.makespan));
+  EXPECT_EQ(a.evals, b.evals);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.schedule_csv, b.schedule_csv);
+}
+
+TEST(ServeServer, NumericallyEqualDocumentsShareOneCacheEntry) {
+  // A hand-written document with extra whitespace and non-canonical number
+  // spellings (2.50, 4.0) that parses to the same workload as the canonical
+  // text workload_to_string produces for it.
+  const std::string messy =
+      "sehc-workload v1\n"
+      "machines 2\n"
+      "sehc-dag v1\n"
+      "tasks 3\n"
+      "edge 0 1\n"
+      "edge 0 2\n"
+      "end-dag\n"
+      "exec\n"
+      "2.50   4.0 1\n"
+      " 3 1.25e0 2 \n"
+      "transfer\n"
+      "0.5\t1.50\n";
+  const std::string canonical = workload_to_string(workload_from_string(messy));
+  ASSERT_NE(messy, canonical);
+
+  ServeOptions so;
+  so.socket_path = test_socket_path();
+  so.threads = 1;
+  Server server(so);
+  server.start();
+  const ScheduleResponse cold = one_call(so.socket_path, solve_request(messy));
+  const ScheduleResponse hit =
+      one_call(so.socket_path, solve_request(canonical));
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  expect_same_answer(cold, hit);
+  EXPECT_EQ(server.stats_snapshot().cache_size, 1u);
+  server.request_drain();
+  server.join();
+}
+
+TEST(ServeServer, WorkloadCacheEvictionStillHitsResponseCache) {
+  ServeOptions so;
+  so.socket_path = test_socket_path();
+  so.threads = 1;
+  so.workload_cache_capacity = 1;
+  Server server(so);
+  server.start();
+
+  const std::string a = small_workload_text(21);
+  const std::string b = small_workload_text(22);
+  const ScheduleResponse cold_a = one_call(so.socket_path, solve_request(a));
+  const ScheduleResponse cold_b = one_call(so.socket_path, solve_request(b));
+  // Each body evicted the other from the one-entry workload cache, so these
+  // repeats are re-parsed and re-canonicalized into fresh buffers; the
+  // response cache still matches them by content.
+  const ScheduleResponse hit_a = one_call(so.socket_path, solve_request(a));
+  const ScheduleResponse hit_b = one_call(so.socket_path, solve_request(b));
+  EXPECT_TRUE(hit_a.cache_hit);
+  EXPECT_TRUE(hit_b.cache_hit);
+  expect_same_answer(cold_a, hit_a);
+  expect_same_answer(cold_b, hit_b);
+
+  const ServerStats stats = server.stats_snapshot();
+  EXPECT_EQ(stats.workload_cache_hits, 0u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  server.request_drain();
+  server.join();
+}
+
+TEST(ServeServer, MetricsCountOneReadPhasePerSolveRequest) {
+  ServeOptions so;
+  so.socket_path = test_socket_path();
+  so.threads = 1;
+  Server server(so);
+  server.start();
+
+  const std::string workload = small_workload_text(23);
+  constexpr int kSolves = 3;  // one cold solve, then two cache hits
+  for (int i = 0; i < kSolves; ++i) {
+    ASSERT_EQ(one_call(so.socket_path, solve_request(workload)).status,
+              ServeStatus::kOk);
+  }
+  (void)op_call(so.socket_path, "stats");  // not a solve: no phases
+  const ScheduleResponse metrics = op_call(so.socket_path, "metrics");
+  ASSERT_EQ(metrics.status, ServeStatus::kOk);
+  const std::string n = std::to_string(kSolves);
+  EXPECT_EQ(extra_field(metrics, "phase.request/read.visits"), n);
+  EXPECT_EQ(extra_field(metrics, "phase.request/parse.visits"), n);
+  EXPECT_EQ(extra_field(metrics, "phase.request/cache_lookup.visits"), n);
+  EXPECT_EQ(extra_field(metrics, "phase.request/reply.visits"), n);
+  EXPECT_EQ(extra_field(metrics, "phase.request/queue.visits"), "1");
+  EXPECT_EQ(extra_field(metrics, "phase.request/solve.visits"), "1");
+  EXPECT_EQ(extra_field(metrics, "hist.latency/request_us.count"), n);
   server.request_drain();
   server.join();
 }
