@@ -4,26 +4,24 @@
 // Three measurements per paper-scale workload class (k ~ 90-100 tasks, the
 // sizes behind the paper's Figures 3-7):
 //
-//   * trials/sec of the SE allocation enumeration, under two engines that
-//     produce bit-identical placements:
+//   * trials/sec of the SE allocation enumeration, under three trial modes
+//     that produce bit-identical placements:
 //       - "baseline": a faithful replica of the pre-engine implementation —
 //         every (position, machine) trial re-simulates the whole suffix
 //         from the bottom of the task's valid range through the graph's
 //         in_edges() -> edge(d) double indirection, with no checkpoint
 //         rolling and no pruning (the BaselineEvaluator class below is the
 //         old Evaluator verbatim);
-//       - "incremental": rolling checkpoints + exact pruning + the CSR hot
-//         path — the scalar reference trial loop;
 //       - "batch_trials": the SoA sweep — allocate_tasks() driving
-//         Evaluator::TrialBatch with the scalar strip loops forced;
+//         Evaluator::TrialBatch on rolling checkpoints with exact pruning,
+//         with the scalar strip loops forced;
 //       - "simd_trials": the shipped hot path — the same sweep under the
 //         SIMD strip kernel selected by --kernel=auto|scalar|simd (default:
 //         the SEHC_KERNEL env override, then runtime CPU detection). All
-//         four modes must commit bit-identical final strings (asserted per
-//         pass on the final makespans) and identical pruned-lane counts;
-//         --check-overhead TOL fails the run when the batch falls below
-//         (1 - TOL) x the scalar incremental throughput or the SIMD strips
-//         fall below (1 - TOL) x the scalar strips.
+//         three modes must commit bit-identical final strings (asserted per
+//         pass on the final makespans), the batch and SIMD modes identical
+//         pruned-lane counts; --check-overhead TOL fails the run when the
+//         SIMD strips fall below (1 - TOL) x the scalar strips.
 //   * time-to-target: wall seconds until a full SeEngine run first reaches
 //     a makespan within 5% of its final best (read off the recorded trace).
 //   * engine_step: step-driver overhead — the same SE configuration through
@@ -174,13 +172,13 @@ class BaselineEvaluator {
   std::size_t cp_prefix_ = 0;
 };
 
-/// One full allocation pass over every task, in the given engine mode.
-/// Returns the number of (position, machine) combinations simulated.
-/// Both modes commit identical placements.
-template <bool Incremental, typename Eval>
-std::size_t allocation_pass(const Workload& w, Eval& eval,
-                            const MachineCandidates& candidates,
-                            SolutionString& s, Rng& rng) {
+/// One full pre-engine allocation pass over every task. Returns the number
+/// of (position, machine) combinations simulated. Commits the placements
+/// allocate_tasks() commits.
+std::size_t baseline_allocation_pass(const Workload& w,
+                                     BaselineEvaluator& eval,
+                                     const MachineCandidates& candidates,
+                                     SolutionString& s, Rng& rng) {
   const TaskGraph& g = w.graph();
   std::size_t combinations = 0;
   for (TaskId t = 0; t < w.num_tasks(); ++t) {
@@ -196,12 +194,7 @@ std::size_t allocation_pass(const Workload& w, Eval& eval,
     for (std::size_t pos = range.lo;; ++pos) {
       for (MachineId m : candidates.of(t)) {
         s.set_machine(t, m);
-        double len;
-        if constexpr (Incremental) {
-          len = eval.trial_makespan(s, best_len);
-        } else {
-          len = eval.trial_makespan(s);
-        }
+        const double len = eval.trial_makespan(s);
         ++combinations;
         if (len < best_len) {
           best_len = len;
@@ -219,7 +212,6 @@ std::size_t allocation_pass(const Workload& w, Eval& eval,
       s.set_machine(t, original_machine);
       if (pos == range.hi) break;
       s.move_task(t, pos + 1);
-      if constexpr (Incremental) eval.extend_checkpoint(s);
     }
     s.move_task(t, best_pos);
     s.set_machine(t, best_machine);
@@ -235,22 +227,21 @@ struct ThroughputResult {
   }
 };
 
-template <bool Incremental, typename Eval>
-ThroughputResult measure_throughput(const Workload& w, std::size_t passes,
-                                    std::vector<double>& finals) {
-  Eval eval(w);
-  Evaluator check(w);  // finals audited with one shared evaluator type
+ThroughputResult measure_baseline_throughput(const Workload& w,
+                                             std::size_t passes,
+                                             std::vector<double>& finals) {
+  BaselineEvaluator eval(w);
+  Evaluator check(w);  // finals audited with the shipped evaluator
   const MachineCandidates candidates(w, 0);
   ThroughputResult out;
   for (std::size_t rep = 0; rep < passes; ++rep) {
-    // Fresh deterministic starting point per pass; every engine mode sees
+    // Fresh deterministic starting point per pass; every trial mode sees
     // the same sequence of strings (their commits are bit-identical).
     Rng rng(1000 + rep);
     SolutionString s =
         random_initial_solution(w.graph(), w.num_machines(), rng);
     WallTimer timer;
-    out.trials +=
-        allocation_pass<Incremental>(w, eval, candidates, s, rng);
+    out.trials += baseline_allocation_pass(w, eval, candidates, s, rng);
     out.seconds += timer.seconds();
     finals.push_back(check.makespan(s));
   }
@@ -259,7 +250,7 @@ ThroughputResult measure_throughput(const Workload& w, std::size_t passes,
 
 /// The shipped hot path: allocate_tasks() driving Evaluator::TrialBatch over
 /// every task (one SoA sweep per trial position), under the given strip
-/// kernel. Must commit strings bit-identical to the scalar passes above.
+/// kernel. Must commit strings bit-identical to the baseline pass above.
 ThroughputResult measure_batch_throughput(
     const Workload& w, std::size_t passes, KernelChoice kernel,
     std::vector<double>& finals,
@@ -468,7 +459,7 @@ int main(int argc, char** argv) {
   const SimdKernel simd_kernel = resolve_kernel(kernel_choice);
 
   std::printf("=== perf_hotpath: SE allocation trials/sec, pre-engine baseline "
-              "vs incremental engine vs SoA trial batch (scalar + %s strips) "
+              "vs SoA trial batch (scalar + %s strips) "
               "(%zu passes, %zu SE iterations) ===\n\n",
               kernel_name(simd_kernel), passes, iters);
 
@@ -489,11 +480,9 @@ int main(int argc, char** argv) {
   bool overhead_ok = true;
   for (const ClassSpec& spec : classes) {
     const Workload w = make_workload(spec.params);
-    std::vector<double> naive_finals, inc_finals, batch_finals, simd_finals;
+    std::vector<double> naive_finals, batch_finals, simd_finals;
     const ThroughputResult naive =
-        measure_throughput<false, BaselineEvaluator>(w, passes, naive_finals);
-    const ThroughputResult inc =
-        measure_throughput<true, Evaluator>(w, passes, inc_finals);
+        measure_baseline_throughput(w, passes, naive_finals);
     Evaluator::TrialBatch::BatchMetrics batch_metrics;
     const ThroughputResult batch = measure_batch_throughput(
         w, passes, KernelChoice::kScalar, batch_finals, batch_metrics);
@@ -504,28 +493,24 @@ int main(int argc, char** argv) {
     const StepOverheadResult overhead = measure_step_overhead(w, iters);
     const LruResult lru = measure_prepared_lru(w, std::max<std::size_t>(
                                                       iters / 2, 10));
-    const double speedup = naive.trials_per_sec() > 0.0
-                               ? inc.trials_per_sec() / naive.trials_per_sec()
-                               : 0.0;
-    const double batch_speedup =
-        inc.trials_per_sec() > 0.0
-            ? batch.trials_per_sec() / inc.trials_per_sec()
+    const double speedup =
+        naive.trials_per_sec() > 0.0
+            ? batch.trials_per_sec() / naive.trials_per_sec()
             : 0.0;
     const double simd_speedup =
         batch.trials_per_sec() > 0.0
             ? simd.trials_per_sec() / batch.trials_per_sec()
             : 0.0;
-    if (naive_finals != inc_finals || inc_finals != batch_finals ||
-        batch_finals != simd_finals || naive.trials != inc.trials ||
-        inc.trials != batch.trials || batch.trials != simd.trials ||
+    if (naive_finals != batch_finals || batch_finals != simd_finals ||
+        naive.trials != batch.trials || batch.trials != simd.trials ||
         batch_metrics.pruned != simd_metrics.pruned) {
-      // All four modes run the identical allocation policy from identical
+      // All three modes run the identical allocation policy from identical
       // seeds; any divergence in committed strings, trial counts or pruned
       // lanes is a correctness bug, not noise.
       std::fprintf(stderr,
                    "trial modes diverged on %s: per-pass final makespans, "
                    "trial counts or pruned counts differ across "
-                   "baseline/incremental/batch/simd\n",
+                   "baseline/batch/simd\n",
                    spec.name);
       overhead_ok = false;
     }
@@ -545,15 +530,6 @@ int main(int argc, char** argv) {
                    overhead.ratio(), spec.name, overhead_tol * 100.0);
       overhead_ok = false;
     }
-    if (check_overhead && batch_speedup < 1.0 - overhead_tol) {
-      // The batch kernel exists to be faster; falling below the scalar
-      // incremental loop means a regression in the SoA sweep.
-      std::fprintf(stderr,
-                   "batch_trials: batch kernel at %.3fx of scalar "
-                   "incremental on %s (tolerance %.0f%%)\n",
-                   batch_speedup, spec.name, overhead_tol * 100.0);
-      overhead_ok = false;
-    }
     if (check_overhead && simd_speedup < 1.0 - overhead_tol) {
       // The SIMD strips run the same sweep; they must never fall below the
       // scalar strips (when the CPU has no vector unit the two coincide).
@@ -569,8 +545,6 @@ int main(int argc, char** argv) {
                 w.num_machines());
     std::printf("  baseline    %12.0f trials/sec (%zu trials, %.3fs)\n",
                 naive.trials_per_sec(), naive.trials, naive.seconds);
-    std::printf("  incremental %12.0f trials/sec (%zu trials, %.3fs)\n",
-                inc.trials_per_sec(), inc.trials, inc.seconds);
     std::printf("  batch       %12.0f trials/sec (%zu trials, %.3fs)\n",
                 batch.trials_per_sec(), batch.trials, batch.seconds);
     std::printf("  simd (%s) %10.0f trials/sec (%zu trials, %.3fs)\n",
@@ -588,9 +562,8 @@ int main(int argc, char** argv) {
                     batch_metrics.batch_sizes.quantile(0.50)),
                 static_cast<unsigned long long>(batch_metrics.max_batch),
                 pruned_rate);
-    std::printf("  speedup     %12.2fx incremental/baseline, %.2fx "
-                "batch/incremental, %.2fx simd/batch\n",
-                speedup, batch_speedup, simd_speedup);
+    std::printf("  speedup     %12.2fx batch/baseline, %.2fx simd/batch\n",
+                speedup, simd_speedup);
     std::printf("  SE run      best=%.2f in %.3fs; within 5%% after %.3fs\n",
                 target.best, target.total_seconds, target.time_to_target);
     std::printf("  engine_step %12.0f trials/sec stepwise vs %.0f run() "
@@ -619,14 +592,10 @@ int main(int argc, char** argv) {
                  w.num_tasks(), w.num_machines());
     std::fprintf(json, "      \"baseline_trials_per_sec\": %.1f,\n",
                  naive.trials_per_sec());
-    std::fprintf(json, "      \"incremental_trials_per_sec\": %.1f,\n",
-                 inc.trials_per_sec());
     std::fprintf(json, "      \"speedup\": %.3f,\n", speedup);
     std::fprintf(json, "      \"batch_trials\": {\n");
     std::fprintf(json, "        \"trials_per_sec\": %.1f,\n",
                  batch.trials_per_sec());
-    std::fprintf(json, "        \"speedup_vs_incremental\": %.3f,\n",
-                 batch_speedup);
     std::fprintf(json, "        \"batches\": %llu,\n",
                  static_cast<unsigned long long>(batch_metrics.batches));
     std::fprintf(json, "        \"batch_size_p50\": %llu,\n",
@@ -651,7 +620,7 @@ int main(int argc, char** argv) {
     std::fprintf(json, "        \"gsa_hits\": %zu,\n", lru.gsa_hits);
     std::fprintf(json, "        \"gsa_lookups\": %zu\n", lru.gsa_lookups);
     std::fprintf(json, "      },\n");
-    std::fprintf(json, "      \"trials\": %zu,\n", inc.trials);
+    std::fprintf(json, "      \"trials\": %zu,\n", batch.trials);
     std::fprintf(json, "      \"se_best_makespan\": %.17g,\n", target.best);
     std::fprintf(json, "      \"se_seconds\": %.4f,\n", target.total_seconds);
     std::fprintf(json, "      \"se_time_to_5pct_seconds\": %.4f,\n",

@@ -17,35 +17,24 @@ constexpr double kNoBound = std::numeric_limits<double>::infinity();
 struct Move {
   TaskId task;
   std::size_t old_pos;
-  MachineId old_machine;
   std::size_t new_pos;
   MachineId new_machine;
 
-  /// First string position the move rewrites; the prepared trial starts
-  /// simulating there.
+  /// First string position the move rewrites; refresh_from() re-records the
+  /// prepared snapshots from there after an accepted move.
   std::size_t suffix_start() const { return std::min(old_pos, new_pos); }
 };
 
 Move propose_move(const SolutionString& s, const TaskGraph& g,
                   std::size_t num_machines, Rng& rng) {
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
-  Move m{t, s.position_of(t), s.machine_of(t), 0, 0};
+  Move m{t, s.position_of(t), 0, s.machine_of(t)};
   const ValidRange range = s.valid_range(g, t);
   m.new_pos = range.lo + static_cast<std::size_t>(rng.below(range.size()));
-  m.new_machine = rng.chance(0.5)
-                      ? static_cast<MachineId>(rng.below(num_machines))
-                      : m.old_machine;
+  if (rng.chance(0.5)) {
+    m.new_machine = static_cast<MachineId>(rng.below(num_machines));
+  }
   return m;
-}
-
-void apply_move(SolutionString& s, const Move& m) {
-  s.move_task(m.task, m.new_pos);
-  s.set_machine(m.task, m.new_machine);
-}
-
-void undo_move(SolutionString& s, const Move& m) {
-  s.move_task(m.task, m.old_pos);
-  s.set_machine(m.task, m.old_machine);
 }
 
 }  // namespace
@@ -74,11 +63,10 @@ void SaEngine::init() {
   eval_.prepare(current_);
 
   // Calibrate T0 so an average uphill move is accepted with p ~ 0.8. The
-  // walk probes 50 independent moves against the unchanged `current_` (the
-  // scalar loop applied and undid each one before the next draw), so all 50
-  // can be pre-drawn and evaluated as one TrialBatch — same RNG stream, same
-  // lengths bit for bit. The main Metropolis loop in step() stays scalar:
-  // each proposal there depends on whether the previous one was accepted.
+  // walk probes 50 independent moves against the unchanged `current_`, so
+  // all 50 are pre-drawn and evaluated as one TrialBatch. The Metropolis
+  // loop in step() evaluates one move at a time: each proposal there
+  // depends on whether the previous one was accepted.
   double mean_uphill = 0.0;
   std::size_t uphill_count = 0;
   constexpr std::size_t kCalibrationMoves = 50;
@@ -116,22 +104,24 @@ StepStats SaEngine::step() {
   const Workload& w = *workload_;
 
   const Move move = propose_move(current_, w.graph(), w.num_machines(), rng_);
-  apply_move(current_, move);
-  const double len = eval_.prepared_trial(current_, move.suffix_start(),
-                                          kNoBound);
+  // A batch of one against the prepared `current_`: the move is resolved
+  // virtually, so the string changes only if the move is accepted.
+  batch_.begin_prepared(current_);
+  batch_.add_move(move.task, move.new_pos, move.new_machine);
+  const double len = batch_.evaluate(kNoBound)[0];
   const double delta = len - current_len_;
   const bool accept =
       delta <= 0.0 ||
       (temperature_ > 0.0 && rng_.uniform() < std::exp(-delta / temperature_));
   if (accept) {
+    current_.move_task(move.task, move.new_pos);
+    current_.set_machine(move.task, move.new_machine);
     current_len_ = len;
     eval_.refresh_from(current_, move.suffix_start());
     if (len < best_len_) {
       best_len_ = len;
       best_ = current_;
     }
-  } else {
-    undo_move(current_, move);
   }
   if (++since_cool_ >= steps_per_temp_) {
     since_cool_ = 0;

@@ -64,8 +64,8 @@ class SaEngine final : public SearchEngine {
   const Workload* workload_;
   SaParams params_;
   Evaluator eval_;
-  // Batches the T0 calibration walk (the one batchable phase: the main
-  // Metropolis loop is inherently sequential — see annealing.cpp).
+  // Evaluates every trial: the T0 calibration walk as one batch, each
+  // Metropolis proposal as a batch of one (see annealing.cpp).
   Evaluator::TrialBatch batch_;
 
   // Stepwise state (valid after init()).

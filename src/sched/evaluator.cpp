@@ -1,149 +1,86 @@
 #include "sched/evaluator.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace sehc {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
-Evaluator::Evaluator(const Workload& w)
-    : workload_(&w),
-      num_tasks_(w.num_tasks()),
-      num_machines_(w.num_machines()),
-      finish_(w.num_tasks(), 0.0),
-      machine_avail_(w.num_machines(), 0.0) {
+Evaluator::Model::Model(const Workload& w)
+    : workload(&w),
+      num_tasks(w.num_tasks()),
+      num_machines(w.num_machines()),
+      exec(w.exec_matrix().flat().data()) {
   const TaskGraph& g = w.graph();
-  const std::size_t k = num_tasks_;
+  const std::size_t k = num_tasks;
+  const std::size_t l = num_machines;
   const std::size_t p = w.num_items();
 
   // Flatten the incoming adjacency in in_edges() order so the max-reduction
   // over predecessors runs in exactly the order of the naive loop.
-  pred_off_.resize(k + 1);
-  pred_src_.reserve(p);
-  pred_item_.reserve(p);
+  pred_off.resize(k + 1);
+  pred_src.reserve(p);
+  pred_item.reserve(p);
   for (TaskId t = 0; t < k; ++t) {
-    pred_off_[t] = static_cast<std::uint32_t>(pred_src_.size());
+    pred_off[t] = static_cast<std::uint32_t>(pred_src.size());
     for (DataId d : g.in_edges(t)) {
-      pred_src_.push_back(g.edge(d).src);
-      pred_item_.push_back(d);
+      pred_src.push_back(g.edge(d).src);
+      pred_item.push_back(d);
     }
   }
-  pred_off_[k] = static_cast<std::uint32_t>(pred_src_.size());
+  pred_off[k] = static_cast<std::uint32_t>(pred_src.size());
 
-  exec_ = w.exec_matrix().flat().data();
-  zero_row_.assign(std::max<std::size_t>(p, 1), 0.0);
-  rebuild_pair_rows();
-}
-
-void Evaluator::rebuild_pair_rows() {
-  // Machine-pair -> transfer row pointer table; the diagonal resolves to
-  // this object's zero row so same-machine transfers cost 0.0 without a
-  // branch.
-  const std::size_t l = num_machines_;
-  const std::size_t p = workload_->num_items();
-  pair_row_.assign(l * l, zero_row_.data());
-  const double* tr = workload_->transfer_matrix().flat().data();
+  // Machine-pair -> transfer row pointer table; the diagonal resolves to the
+  // zero row so same-machine transfers cost 0.0 without a branch.
+  zero_row.assign(std::max<std::size_t>(p, 1), 0.0);
+  pair_row.assign(l * l, zero_row.data());
+  const double* tr = w.transfer_matrix().flat().data();
   for (MachineId a = 0; a < l; ++a) {
     for (MachineId b = 0; b < l; ++b) {
-      if (a == b) continue;
-      pair_row_[a * l + b] = tr + pair_index(l, a, b) * p;
+      if (a != b) pair_row[a * l + b] = tr + pair_index(l, a, b) * p;
     }
   }
 }
 
-Evaluator::Evaluator(const Evaluator& other)
-    : workload_(other.workload_),
-      num_tasks_(other.num_tasks_),
-      num_machines_(other.num_machines_),
-      pred_off_(other.pred_off_),
-      pred_src_(other.pred_src_),
-      pred_item_(other.pred_item_),
-      exec_(other.exec_),
-      zero_row_(other.zero_row_),
-      finish_(other.finish_),
-      machine_avail_(other.machine_avail_),
-      cp_avail_(other.cp_avail_),
-      cp_makespan_(other.cp_makespan_),
-      cp_prefix_(other.cp_prefix_),
-      prepared_(other.prepared_),
-      trial_count_(other.trial_count_) {
-  rebuild_pair_rows();
-}
+Evaluator::Evaluator(const Workload& w)
+    : model_(std::make_shared<const Model>(w)),
+      finish_(w.num_tasks(), 0.0),
+      machine_avail_(w.num_machines(), 0.0) {}
 
-Evaluator& Evaluator::operator=(const Evaluator& other) {
-  if (this != &other) *this = Evaluator(other);  // copy, then safe move
-  return *this;
-}
-
-double Evaluator::run_suffix(const SolutionString& s, std::size_t from,
-                             double makespan_in, double bound) const {
+template <class Sink>
+double Evaluator::simulate(const SolutionString& s, std::size_t from,
+                           std::size_t to, double* finish, double* avail,
+                           double makespan, Sink&& sink) const {
+  const Model& md = *model_;
   const Segment* const segs = s.segments().data();
   const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  double* const finish = finish_.data();
-  double* const avail = machine_avail_.data();
-
-  double makespan = makespan_in;
-  if (makespan > bound) return kInf;
-  for (std::size_t i = from; i < k; ++i) {
+  const auto pred = [segs, pos, finish](TaskId src) {
+    return Pred{finish[src], segs[pos[src]].machine};
+  };
+  for (std::size_t i = from; i < to; ++i) {
     const TaskId t = segs[i].task;
     const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    if (fin > makespan) {
-      makespan = fin;
-      if (makespan > bound) return kInf;
-    }
+    const Times r = md.schedule(t, m, avail[m], pred);
+    finish[t] = r.finish;
+    avail[m] = r.finish;
+    makespan = std::max(makespan, r.finish);
+    sink(i, t, r, makespan);
   }
   return makespan;
 }
 
 void Evaluator::evaluate_into(const SolutionString& s,
                               ScheduleTimes& out) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+  const std::size_t k = model_->num_tasks;
+  SEHC_CHECK(s.size() == k, "Evaluator: string size mismatch");
   ++trial_count_;
-  const std::size_t k = num_tasks_;
   out.start.assign(k, 0.0);
   out.finish.assign(k, 0.0);
-  out.makespan = 0.0;
   std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
-
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  double* const finish = out.finish.data();
-  double* const avail = machine_avail_.data();
-  for (std::size_t i = 0; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    out.start[t] = start;
-    finish[t] = fin;
-    avail[m] = fin;
-    out.makespan = std::max(out.makespan, fin);
-  }
+  double* const start = out.start.data();
+  out.makespan =
+      simulate(s, 0, k, out.finish.data(), machine_avail_.data(), 0.0,
+               [start](std::size_t, TaskId t, const Times& r, double) {
+                 start[t] = r.start;
+               });
 }
 
 ScheduleTimes Evaluator::evaluate(const SolutionString& s) const {
@@ -153,11 +90,12 @@ ScheduleTimes Evaluator::evaluate(const SolutionString& s) const {
 }
 
 double Evaluator::makespan(const SolutionString& s) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+  const std::size_t k = model_->num_tasks;
+  SEHC_CHECK(s.size() == k, "Evaluator: string size mismatch");
   ++trial_count_;
   std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
-  return run_suffix(s, 0, 0.0, kInf);
+  return simulate(s, 0, k, finish_.data(), machine_avail_.data(), 0.0,
+                  [](std::size_t, TaskId, const Times&, double) {});
 }
 
 void Evaluator::reset_trial_state() const {
@@ -175,81 +113,29 @@ void Evaluator::reset_trial_state() const {
 
 void Evaluator::begin_trials(const SolutionString& s,
                              std::size_t prefix) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
+  SEHC_CHECK(s.size() == model_->num_tasks, "Evaluator: string size mismatch");
   SEHC_CHECK(prefix <= s.size(), "Evaluator: prefix out of range");
-  std::fill(machine_avail_.begin(), machine_avail_.end(), 0.0);
-
-  // Simulate [0, prefix) by running the suffix kernel on a truncated range.
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  double* const finish = finish_.data();
-  double* const avail = machine_avail_.data();
-  double makespan = 0.0;
-  for (std::size_t i = 0; i < prefix; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    makespan = std::max(makespan, fin);
-  }
-  cp_avail_ = machine_avail_;
-  cp_makespan_ = makespan;
+  // The same walk extend_checkpoint() takes one segment at a time, run over
+  // the whole prefix in one call.
+  cp_avail_.assign(model_->num_machines, 0.0);
+  cp_makespan_ = simulate(s, 0, prefix, finish_.data(), cp_avail_.data(), 0.0,
+                          [](std::size_t, TaskId, const Times&, double) {});
   cp_prefix_ = prefix;
 }
 
 void Evaluator::extend_checkpoint(const SolutionString& s) const {
   SEHC_ASSERT_MSG(cp_prefix_ < s.size(),
                   "Evaluator::extend_checkpoint: checkpoint already full");
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  const TaskId t = segs[cp_prefix_].task;
-  const MachineId m = segs[cp_prefix_].machine;
-  double ready = 0.0;
-  const std::uint32_t lo = pred_off_[t];
-  const std::uint32_t hi = pred_off_[t + 1];
-  for (std::uint32_t e = lo; e < hi; ++e) {
-    const TaskId src = pred_src_[e];
-    const MachineId pm = segs[pos[src]].machine;
-    ready = std::max(ready, finish_[src] + transfer_row(pm, m)[pred_item_[e]]);
-  }
-  const double start = std::max(ready, cp_avail_[m]);
-  const double fin = start + exec_[m * k + t];
-  finish_[t] = fin;
-  cp_avail_[m] = fin;
-  cp_makespan_ = std::max(cp_makespan_, fin);
+  cp_makespan_ = simulate(s, cp_prefix_, cp_prefix_ + 1, finish_.data(),
+                          cp_avail_.data(), cp_makespan_,
+                          [](std::size_t, TaskId, const Times&, double) {});
   ++cp_prefix_;
 }
 
-double Evaluator::trial_makespan(const SolutionString& s) const {
-  return trial_makespan(s, kInf);
-}
-
-double Evaluator::trial_makespan(const SolutionString& s, double bound) const {
-  SEHC_ASSERT_MSG(s.size() == workload_->num_tasks(),
-                  "Evaluator::trial_makespan: string size mismatch");
-  ++trial_count_;
-  std::copy(cp_avail_.begin(), cp_avail_.end(), machine_avail_.begin());
-  return run_suffix(s, cp_prefix_, cp_makespan_, bound);
-}
-
 void Evaluator::prepare(const SolutionString& s, PreparedState& state) const {
-  const Workload& w = *workload_;
-  SEHC_CHECK(s.size() == w.num_tasks(), "Evaluator: string size mismatch");
-  const std::size_t k = num_tasks_;
-  const std::size_t l = num_machines_;
+  SEHC_CHECK(s.size() == model_->num_tasks, "Evaluator: string size mismatch");
+  const std::size_t k = model_->num_tasks;
+  const std::size_t l = model_->num_machines;
   if (state.avail_rows.size() != (k + 1) * l) {
     state.avail_rows.assign((k + 1) * l, 0.0);
     state.prefix_makespan.assign(k + 1, 0.0);
@@ -265,90 +151,18 @@ void Evaluator::refresh_from(const SolutionString& s, std::size_t from,
   SEHC_ASSERT_MSG(state.ready(),
                   "Evaluator::refresh_from: prepare() not called");
   SEHC_ASSERT_MSG(from < s.size(), "Evaluator::refresh_from: bad position");
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  const std::size_t l = num_machines_;
-  double* const finish = state.finish.data();
+  const std::size_t l = model_->num_machines;
   double* const rows = state.avail_rows.data();
-
+  double* const prefix_makespan = state.prefix_makespan.data();
   // Work on machine_avail_ and copy each advanced state into its row.
-  std::copy_n(rows + from * l, l, machine_avail_.begin());
-  double makespan = state.prefix_makespan[from];
   double* const avail = machine_avail_.data();
-  for (std::size_t i = from; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const MachineId pm = segs[pos[src]].machine;
-      ready = std::max(ready, finish[src] + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    makespan = std::max(makespan, fin);
-    std::copy_n(avail, l, rows + (i + 1) * l);
-    state.prefix_makespan[i + 1] = makespan;
-  }
-}
-
-double Evaluator::prepared_prefix_makespan(std::size_t pos) const {
-  SEHC_ASSERT_MSG(pos < prepared_.prefix_makespan.size(),
-                  "Evaluator::prepared_prefix_makespan: bad position");
-  return prepared_.prefix_makespan[pos];
-}
-
-double Evaluator::prepared_trial(const SolutionString& s, std::size_t from,
-                                 double bound,
-                                 const PreparedState& state) const {
-  SEHC_ASSERT_MSG(state.ready(),
-                  "Evaluator::prepared_trial: prepare() not called");
-  SEHC_ASSERT_MSG(s.size() == num_tasks_ && from <= num_tasks_,
-                  "Evaluator::prepared_trial: bad arguments");
-  ++trial_count_;
-  const Segment* const segs = s.segments().data();
-  const std::size_t* const pos = s.positions().data();
-  const std::size_t k = num_tasks_;
-  const std::size_t l = num_machines_;
-  std::copy_n(state.avail_rows.data() + from * l, l, machine_avail_.begin());
-  double makespan = state.prefix_makespan[from];
-  if (makespan > bound) return kInf;
-
-  // Predecessors below `from` are untouched by the trial: read their
-  // prepared finish times. Predecessors at or above `from` were re-simulated
-  // earlier in this very loop (the string is topological): read the trial
-  // scratch.
-  const double* const prepared = state.finish.data();
-  double* const finish = finish_.data();
-  double* const avail = machine_avail_.data();
-  for (std::size_t i = from; i < k; ++i) {
-    const TaskId t = segs[i].task;
-    const MachineId m = segs[i].machine;
-    double ready = 0.0;
-    const std::uint32_t lo = pred_off_[t];
-    const std::uint32_t hi = pred_off_[t + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      const TaskId src = pred_src_[e];
-      const std::size_t src_pos = pos[src];
-      const MachineId pm = segs[src_pos].machine;
-      const double f = src_pos >= from ? finish[src] : prepared[src];
-      ready = std::max(ready, f + transfer_row(pm, m)[pred_item_[e]]);
-    }
-    const double start = std::max(ready, avail[m]);
-    const double fin = start + exec_[m * k + t];
-    finish[t] = fin;
-    avail[m] = fin;
-    if (fin > makespan) {
-      makespan = fin;
-      if (makespan > bound) return kInf;
-    }
-  }
-  return makespan;
+  std::copy_n(rows + from * l, l, avail);
+  simulate(s, from, s.size(), state.finish.data(), avail,
+           prefix_makespan[from],
+           [=](std::size_t i, TaskId, const Times&, double makespan) {
+             std::copy_n(avail, l, rows + (i + 1) * l);
+             prefix_makespan[i + 1] = makespan;
+           });
 }
 
 ScheduleTimes evaluate_schedule(const Workload& w, const SolutionString& s) {

@@ -9,47 +9,49 @@
 // with Tr == 0 when producer and consumer share a machine. This is
 // non-insertion list scheduling: the string fully determines the schedule.
 //
-// The evaluator is also the library's incremental trial engine. All search
-// heuristics spend their time re-simulating slightly-changed strings, so the
-// evaluator offers three exact (bit-identical to a full evaluation)
-// accelerations on top of the plain evaluate()/makespan() pair:
+// The recurrence is written out once, in Evaluator::Model::schedule(). Every
+// simulation below — the full evaluation, the rolling checkpoint, the
+// prepared snapshots and the TrialBatch lanes — calls it and differs only in
+// where a predecessor's finish time and machine are read from. The one other
+// form is the uniform batch path's SIMD strips (sched/simd.h), which
+// vectorise the same arithmetic over independent lanes.
 //
-//   1. Rolling checkpoints (SE allocation): all trial strings share a fixed
-//      prefix; begin_trials() simulates it once, extend_checkpoint() grows
-//      it one segment at a time as the trial position advances, and each
-//      trial_makespan() simulates only the suffix behind the checkpoint.
-//   2. Exact pruning: trial_makespan(s, bound) aborts as soon as the running
-//      makespan strictly exceeds `bound` and returns +infinity. Because the
-//      running makespan is monotone in the segment index, any value returned
-//      that is <= bound is exact — comparisons against `bound` (and ties at
-//      or below it) are unaffected, so tie-break sampling distributions are
-//      preserved byte for byte.
-//   3. A CSR hot path: the DAG's (predecessor, data item) adjacency is
-//      flattened into contiguous arrays at construction, and transfer-time
-//      rows are resolved through a precomputed machine-pair pointer table
-//      (the diagonal points at a zero row, so machine-local communication
-//      needs no branch). This replaces the in_edges() -> edge(d) double
-//      indirection of the naive loops.
+// The evaluator is the library's trial engine. Search heuristics spend their
+// time re-simulating slightly-changed strings, so besides the plain
+// evaluate()/makespan() pair it keeps two kinds of reusable state that
+// Evaluator::TrialBatch (declared below) evaluates candidate edits against:
 //
-// For neighborhood searches whose trials start at arbitrary positions (tabu,
-// annealing), the evaluator additionally keeps a prepared state: prepare()
-// simulates the whole string once and snapshots the machine-availability
-// vector *before every position*, so a trial that changes the string from
-// position p onward costs O(k - p) instead of O(k). refresh_from() rolls the
-// prepared state forward after an accepted move.
+//   1. Rolling checkpoint (SE allocation): all trial strings share a fixed
+//      prefix; begin_trials() simulates it once and extend_checkpoint() grows
+//      it one segment at a time as the trial position advances, so each
+//      trial simulates only the suffix behind the checkpoint.
+//   2. Prepared state (tabu, annealing, GA/GSA offspring): prepare()
+//      simulates a whole string once and snapshots the machine-availability
+//      vector before every position, so a trial that changes the string
+//      from position p onward costs O(k - p); refresh_from() rolls the
+//      snapshots forward after an accepted move.
 //
-// On top of both trial modes sits Evaluator::TrialBatch (declared below):
-// N independent trials accumulated and evaluated in one structure-of-arrays
-// position sweep, bit-identical to N scalar trial calls. The scalar paths
-// remain the reference implementation; the batch is what the search engines
-// actually drive in their hot loops.
+// Trials are exact: bit-identical to a from-scratch evaluation of the trial
+// string. With a pruning bound, a trial aborts as soon as its running
+// makespan strictly exceeds the bound and reports +infinity; the running
+// makespan is monotone in the segment index, so any value <= bound is exact
+// and ties at the bound stay visible (tie-break sampling is preserved byte
+// for byte). tests/naive_eval.h holds the naive reference the
+// differential suites compare against.
 //
-// Evaluator pre-sizes its scratch buffers once per workload so the hot loops
+// The DAG's (predecessor, data item) adjacency is flattened into CSR arrays
+// at construction, and transfer-time rows are resolved through a
+// machine-pair pointer table whose diagonal points at a zero row, so
+// machine-local communication needs no branch. That read-only data lives in
+// one immutable Model that copies share; copies are plain member-wise
+// copies. Scratch buffers are pre-sized once per workload so the hot loops
 // (called millions of times per search run) perform no allocation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hc/workload.h"
@@ -68,8 +70,8 @@ struct ScheduleTimes {
 
 /// Snapshots of one fully simulated string, keyed by position: everything a
 /// suffix trial needs to start simulating at any position. The evaluator owns
-/// one default instance (the classic prepare()/prepared_trial() mode);
-/// callers that juggle several base strings (GA/GSA prepared parents, see
+/// one default instance (the classic prepare()/refresh_from() mode); callers
+/// that juggle several base strings (GA/GSA prepared parents, see
 /// PreparedLru) own additional instances and pass them explicitly.
 struct PreparedState {
   /// Machine availability before position p: row p of a (k+1) x l matrix.
@@ -83,18 +85,18 @@ struct PreparedState {
   bool ready() const { return !avail_rows.empty(); }
 };
 
-/// Reusable evaluator bound to one workload.
+/// Reusable evaluator bound to one workload. Copies share the immutable
+/// workload view and own their scratch and trial state, so every special
+/// member is the member-wise default.
 class Evaluator {
  public:
   explicit Evaluator(const Workload& w);
 
-  // pair_row_'s diagonal entries point into this object's own zero_row_
-  // buffer, so copies must rebuild the table (moves transfer the heap
-  // buffer and stay valid).
-  Evaluator(const Evaluator& other);
-  Evaluator& operator=(const Evaluator& other);
+  Evaluator(const Evaluator&) = default;
+  Evaluator& operator=(const Evaluator&) = default;
   Evaluator(Evaluator&&) = default;
   Evaluator& operator=(Evaluator&&) = default;
+  ~Evaluator() = default;
 
   /// Full evaluation; returns per-task times. O(k + e).
   ScheduleTimes evaluate(const SolutionString& s) const;
@@ -106,17 +108,17 @@ class Evaluator {
   /// Makespan only; same cost but avoids constructing the result arrays.
   double makespan(const SolutionString& s) const;
 
-  // --- Rolling-checkpoint trial mode (SE allocation inner loop) ----------
+  // --- Rolling checkpoint (SE allocation inner loop) ---------------------
   //
   // All trial strings for one task share an unchanged prefix [0, prefix):
-  // begin_trials() evaluates that prefix once and snapshots the machine
-  // state; trial_makespan() then costs only O(k - prefix + suffix edges)
-  // per candidate string.
+  // begin_trials() simulates that prefix once and snapshots the machine
+  // state; a checkpoint-mode TrialBatch then simulates only [prefix, k) per
+  // candidate string.
   //
   // Contract: every subsequent trial string must (a) contain exactly the
   // same segments in [0, prefix) as the string passed to begin_trials and
-  // (b) permute only tasks at positions >= prefix. Calling evaluate() /
-  // makespan() invalidates the checkpoint.
+  // (b) permute only tasks at positions >= prefix. Calling makespan()
+  // invalidates the checkpoint.
   void begin_trials(const SolutionString& s, std::size_t prefix) const;
 
   /// Advances the checkpoint by one segment: position `prefix` of `s` (which
@@ -129,23 +131,14 @@ class Evaluator {
   /// Checkpoint position (prefix length) of the rolling trial mode.
   std::size_t checkpoint_prefix() const { return cp_prefix_; }
 
-  /// Simulates [prefix, k) on top of the checkpoint. Exact.
-  double trial_makespan(const SolutionString& s) const;
-
-  /// As trial_makespan(), but aborts once the running makespan strictly
-  /// exceeds `bound`, returning +infinity. Any return value <= bound is
-  /// exact; any value > bound is guaranteed to truly exceed it.
-  double trial_makespan(const SolutionString& s, double bound) const;
-
-  // --- Prepared-state trial mode (tabu / annealing neighborhoods) --------
+  // --- Prepared state (tabu / annealing / GA-GSA offspring) --------------
   //
   // prepare(s) simulates `s` once, recording per-position machine-state
-  // snapshots. prepared_trial(s', from, bound) then evaluates a trial string
-  // s' that differs from s only at positions >= from, in O(k - from).
+  // snapshots; a prepared-mode TrialBatch then evaluates trial strings that
+  // differ from s only at positions >= from in O(k - from).
   // refresh_from(s, from) re-records the snapshots after `s` itself changed
-  // at positions >= from (an accepted move). The prepared state survives
-  // any number of prepared_trial() calls; evaluate()/makespan()/the rolling
-  // trial mode do not disturb it.
+  // at positions >= from (an accepted move). evaluate()/makespan()/the
+  // rolling checkpoint do not disturb the prepared state.
   //
   // Each operation also exists in an explicit-state form that reads/writes a
   // caller-owned PreparedState instead of the evaluator's default one, so
@@ -157,26 +150,13 @@ class Evaluator {
   }
   void refresh_from(const SolutionString& s, std::size_t from,
                     PreparedState& state) const;
-  double prepared_trial(const SolutionString& s, std::size_t from,
-                        double bound) const {
-    return prepared_trial(s, from, bound, prepared_);
-  }
-  double prepared_trial(const SolutionString& s, std::size_t from, double bound,
-                        const PreparedState& state) const;
-
-  /// Running makespan of the prepared string's prefix [0, pos).
-  double prepared_prefix_makespan(std::size_t pos) const;
-
-  /// The evaluator's default prepared state (the one the two-argument
-  /// prepare()/refresh_from()/prepared_trial() forms operate on).
-  const PreparedState& default_prepared_state() const { return prepared_; }
 
   // --- Trial accounting ---------------------------------------------------
   //
-  // Every schedule simulation — evaluate()/evaluate_into()/makespan(), both
-  // trial_makespan() overloads and prepared_trial() — counts as one trial.
-  // Prefix bookkeeping (begin_trials/extend_checkpoint/prepare/refresh_from)
-  // does not: it is amortized setup, not an evaluation of a candidate. The
+  // Every schedule simulation — evaluate()/evaluate_into()/makespan() and
+  // each trial a TrialBatch evaluates — counts as one trial. Prefix
+  // bookkeeping (begin_trials/extend_checkpoint/prepare/refresh_from) does
+  // not: it is amortized setup, not an evaluation of a candidate. The
   // counter is the `evals` currency of the stepwise search engines (see
   // search/engine.h) and of the campaign layer's equal-evals budgets.
 
@@ -193,46 +173,75 @@ class Evaluator {
   /// false until the new run prepares its own state.
   void reset_trial_state() const;
 
-  const Workload& workload() const { return *workload_; }
+  const Workload& workload() const { return *model_->workload; }
 
  private:
-  /// (Re)points pair_row_ at the workload's transfer rows / this object's
-  /// zero row. Called from construction and from copies.
-  void rebuild_pair_rows();
+  /// Where the recurrence reads one predecessor from: its finish time and
+  /// the machine it ran on.
+  struct Pred {
+    double finish;
+    MachineId machine;
+  };
+  /// Start and finish time of one scheduled segment.
+  struct Times {
+    double start;
+    double finish;
+  };
 
-  /// Simulates s[from..k) reading/writing finish_ and machine_avail_
-  /// (rolling mode: every needed predecessor finish already lives in
-  /// finish_). Returns the final makespan, or +infinity once the running
-  /// makespan strictly exceeds `bound`.
-  ///
-  /// NOTE: the per-segment scheduling recurrence in this kernel is
-  /// deliberately instantiated (not shared) in evaluate_into,
-  /// begin_trials, extend_checkpoint, refresh_from and prepared_trial —
-  /// each differs in finish-time source, snapshot writes or bound checks.
-  /// Keep the six sites in lockstep; every one of them is pinned
-  /// bit-for-bit against a naive reference by tests/test_incremental_eval.
-  double run_suffix(const SolutionString& s, std::size_t from,
-                    double makespan_in, double bound) const;
+  /// The workload's read-only view, built once and shared by every copy.
+  /// Not copyable itself: pair_row's diagonal points into zero_row.
+  struct Model {
+    explicit Model(const Workload& w);
+    Model(const Model&) = delete;
+    Model& operator=(const Model&) = delete;
 
-  /// Per-pair transfer row (diagonal -> zero row), avoiding pair_index().
-  const double* transfer_row(MachineId a, MachineId b) const {
-    return pair_row_[a * num_machines_ + b];
-  }
+    const Workload* workload = nullptr;  // non-owning; outlives the model
+    std::size_t num_tasks = 0;
+    std::size_t num_machines = 0;
+    // CSR adjacency: incoming edges of task t are pred_src/pred_item
+    // [pred_off[t], pred_off[t+1]), in the graph's in_edges() order (the
+    // order the naive loops reduce in, so max-chains are bit-identical).
+    std::vector<std::uint32_t> pred_off;
+    std::vector<TaskId> pred_src;
+    std::vector<DataId> pred_item;
+    const double* exec = nullptr;  // l x k row-major
+    std::vector<double> zero_row;
+    std::vector<const double*> pair_row;  // l*l rows into Tr (or zero_row)
 
-  const Workload* workload_;  // non-owning; workload outlives evaluator
-  std::size_t num_tasks_ = 0;
-  std::size_t num_machines_ = 0;
+    const double* transfer_row(MachineId a, MachineId b) const {
+      return pair_row[a * num_machines + b];
+    }
 
-  // CSR adjacency: incoming edges of task t are pred_src_/pred_item_
-  // [pred_off_[t], pred_off_[t+1]), in the graph's in_edges() order (the
-  // order the naive loops reduce in, so max-chains are bit-identical).
-  std::vector<std::uint32_t> pred_off_;
-  std::vector<TaskId> pred_src_;
-  std::vector<DataId> pred_item_;
-  // Flat matrix views + machine-pair row table.
-  const double* exec_ = nullptr;  // l x k row-major
-  std::vector<const double*> pair_row_;  // l*l entries into Tr (or zero row)
-  std::vector<double> zero_row_;
+    /// The scheduling recurrence for task t on machine m, whose
+    /// availability is `avail`. pred(src) supplies predecessor src's finish
+    /// time and machine — the one thing that differs between the full
+    /// evaluation, the checkpoint, the prepared snapshots and batch lanes.
+    /// Forced inline: GCC otherwise keeps it out of line in the batch's
+    /// edited-lane loop, which costs SE solves about 10%.
+    template <class PredFn>
+    [[gnu::always_inline]] Times schedule(TaskId t, MachineId m, double avail,
+                                          PredFn&& pred) const {
+      double ready = 0.0;
+      for (std::uint32_t e = pred_off[t]; e < pred_off[t + 1]; ++e) {
+        const Pred p = pred(pred_src[e]);
+        ready = std::max(ready,
+                         p.finish + transfer_row(p.machine, m)[pred_item[e]]);
+      }
+      const double start = std::max(ready, avail);
+      return {start, start + exec[m * num_tasks + t]};
+    }
+  };
+
+  /// Simulates positions [from, to) of `s`, every predecessor read from
+  /// `finish` and `s`, updating `finish` and the per-machine `avail`.
+  /// Calls sink(i, t, times, running makespan) after each segment and
+  /// returns the running makespan, starting from `makespan`.
+  template <class Sink>
+  double simulate(const SolutionString& s, std::size_t from, std::size_t to,
+                  double* finish, double* avail, double makespan,
+                  Sink&& sink) const;
+
+  std::shared_ptr<const Model> model_;
 
   // Scratch reused across calls (single-threaded use, like the algorithms).
   mutable std::vector<double> finish_;
@@ -252,20 +261,22 @@ class Evaluator {
 
 /// Batched trial evaluation: accumulate N candidate suffix edits against the
 /// evaluator's rolling checkpoint or a prepared state, then evaluate them all
-/// in ONE position-major sweep whose inner loop runs over the batch
-/// dimension. Data is laid out structure-of-arrays — per-machine availability
-/// rows and per-task finish columns hold one contiguous lane per live trial —
-/// so the uniform-reassign fast path (SE's allocation scan: same task, all
-/// machine candidates) vectorizes, and trials whose running makespan exceeds
-/// the shared bound are retired mid-sweep by lane compaction.
+/// in one evaluate() call. The uniform-reassign fast path (SE's allocation
+/// scan: same task, all machine candidates) runs ONE position-major sweep
+/// whose inner loop runs over the batch dimension, laid out
+/// structure-of-arrays — per-machine availability rows and per-task finish
+/// columns hold one contiguous lane per live trial — so it vectorizes, and
+/// trials whose running makespan exceeds the shared bound are retired
+/// mid-sweep by lane compaction. Any other mix of trials is evaluated trial
+/// by trial, each stopping at the bound.
 ///
-/// Exactness contract: evaluate() is bit-identical to running the scalar
-/// reference path (trial_makespan() / prepared_trial()) once per trial with
-/// the same bound — identical makespans where the scalar returns an exact
-/// value, +infinity exactly where the scalar prunes, and exactly size()
-/// increments of the evaluator's trial counter. Trials are mutually
-/// independent, so interchanging the loops (positions outer, trials inner)
-/// replays each trial's floating-point operation sequence unchanged.
+/// Exactness contract: each result is bit-identical to a from-scratch
+/// evaluation of the trial string, clamped by the bound — the exact makespan
+/// where it is <= bound, +infinity where it is > bound — and evaluate()
+/// adds exactly size() to the evaluator's trial counter. Each lane runs the
+/// recurrence of a single-trial simulation; trials are mutually independent,
+/// so interchanging the loops (positions outer, trials inner) leaves each
+/// trial's floating-point operation sequence unchanged.
 ///
 /// Trial kinds:
 ///   * add_reassign(t, m)      — base string with task t's machine set to m;
@@ -287,7 +298,7 @@ class Evaluator::TrialBatch {
 
   /// Enters checkpoint mode: trials are edits of `base`, evaluated on top of
   /// the evaluator's rolling checkpoint (begin_trials()/extend_checkpoint()
-  /// manage the checkpoint as in the scalar path). `base` is captured by
+  /// manage the checkpoint). `base` is captured by
   /// reference and read at evaluate() time. Clears pending trials.
   void begin_checkpoint(const SolutionString& base);
 
@@ -309,8 +320,8 @@ class Evaluator::TrialBatch {
   void clear() { trials_.clear(); }
 
   /// Evaluates every pending trial against the shared pruning `bound`
-  /// (strict, as the scalar paths: any value returned <= bound is exact, any
-  /// trial whose running makespan strictly exceeds `bound` yields +infinity).
+  /// (strict: any value returned <= bound is exact, any trial whose running
+  /// makespan strictly exceeds `bound` yields +infinity).
   /// Returns one makespan per trial in add order, counts size() trials, and
   /// clears the pending list. The returned reference is invalidated by the
   /// next evaluate() call.
@@ -320,7 +331,7 @@ class Evaluator::TrialBatch {
   /// (plain member arithmetic — never a registry or map lookup, so the
   /// --check-overhead perf gate stays green with metrics compiled in).
   /// Pruned counts lanes retired mid-sweep (+infinity results), exactly
-  /// the trials the scalar reference would also have pruned.
+  /// the trials whose exact makespan exceeds the bound.
   struct BatchMetrics {
     std::uint64_t batches = 0;      ///< evaluate() calls with >= 1 trial
     std::uint64_t trials = 0;       ///< trials evaluated across batches
@@ -374,18 +385,17 @@ class Evaluator::TrialBatch {
   const PreparedState* state_ = nullptr;  // null = checkpoint mode
   std::vector<Trial> trials_;
 
-  // SoA lanes, stride = trials_.size() during evaluate(): avail_lanes_ row m
-  // = per-lane availability of machine m; finish_lanes_ row t = per-lane
-  // finish of task t; makespan_ / lane_trial_ indexed by lane. The lane
-  // stores are 64-byte aligned for the SIMD strip loops.
+  // SoA lanes, stride = trials_.size() during the uniform sweep:
+  // avail_lanes_ row m = per-lane availability of machine m; finish_lanes_
+  // row t = per-lane finish of task t; makespan_ / lane_trial_ indexed by
+  // lane. The general path reuses one lane (stride 1) for every trial. The
+  // lane stores are 64-byte aligned for the SIMD strip loops.
   AlignedVector<double> avail_lanes_;
   AlignedVector<double> finish_lanes_;
   AlignedVector<double> makespan_;
   AlignedVector<double> ready_lanes_;    // per-lane ready-time scratch
   std::vector<std::size_t> lane_trial_;
   std::vector<MachineId> lane_machine_;  // fast path: per-lane machine
-  std::vector<std::size_t> live_;        // general path: live trial indices
-  std::vector<std::size_t> from_;        // general path: per-trial start
   std::vector<double> results_;
   BatchMetrics metrics_;
 

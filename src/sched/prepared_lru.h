@@ -2,7 +2,8 @@
 // value.
 //
 // GA/GSA evaluate mutation-only children from their parent's prepared
-// snapshots (Evaluator::prepare + prepared_trial). A single prepared slot
+// snapshots (Evaluator::prepare + a prepared-mode TrialBatch against the
+// returned state). A single prepared slot
 // forces a re-prepare whenever consecutive children descend from different
 // parents — but the same handful of elite strings parent most children,
 // generation after generation, so a few cached states absorb most prepares.

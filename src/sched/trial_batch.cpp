@@ -1,20 +1,21 @@
 // Evaluator::TrialBatch — the batched structure-of-arrays trial kernel.
 //
-// Both kernels below are loop interchanges of the scalar reference paths in
-// evaluator.cpp (run_suffix / prepared_trial): positions sweep in the outer
-// loop, live trials in the inner loop. Trials are mutually independent, so
-// every trial's floating-point operation sequence is replayed unchanged and
-// the results are bit-identical to N scalar calls — including the pruning
-// contract (strictly-greater-than-bound => +infinity) and the trial-counter
+// The uniform kernel sweeps positions in the outer loop and live trials in
+// the inner loop; the general kernel runs one trial after another. Either
+// way every trial runs the evaluator's one scheduling recurrence
+// (Evaluator::Model::schedule, or its strip form) with its own predecessor
+// source; trials are mutually independent, so each result is bit-identical
+// to a from-scratch evaluation of the trial string — including the pruning
+// contract (strictly-greater-than-bound => +infinity) and one trial-counter
 // increment per trial. The ready-time max-reduction may be re-ordered
 // between shared and per-lane predecessors: every operand is a non-negative
 // finite double (no -0.0, no NaN), for which max is order-independent down
 // to the bit pattern.
 //
-// tests/test_trial_batch.cpp pins batch-vs-scalar bit-identity for every
-// trial kind, both modes, and the edge cases (empty batch, all pruned,
-// mixed prune/survive compaction, checkpoint-spanning batches, counter
-// exactness).
+// tests/test_trial_batch.cpp pins batch-vs-naive-reference bit-identity for
+// every trial kind, both modes, and the edge cases (empty batch, all
+// pruned, mixed prune/survive compaction, checkpoint-spanning batches,
+// counter exactness).
 #include "sched/evaluator.h"
 
 #include <algorithm>
@@ -83,9 +84,8 @@ void Evaluator::TrialBatch::add_string(const SolutionString& s,
 }
 
 std::size_t Evaluator::TrialBatch::trial_from(const Trial& tr) const {
-  // Checkpoint mode always simulates from the checkpoint prefix, exactly as
-  // the scalar trial_makespan() does (the `from` of add_string is a
-  // prepared-mode concept).
+  // Checkpoint mode always simulates from the checkpoint prefix (the `from`
+  // of add_string is a prepared-mode concept).
   if (state_ == nullptr) return eval_->cp_prefix_;
   switch (tr.kind) {
     case Kind::kReassign:
@@ -133,7 +133,7 @@ bool Evaluator::TrialBatch::uniform_reassign() const {
 const std::vector<double>& Evaluator::TrialBatch::evaluate(double bound) {
   SEHC_ASSERT_MSG(base_ != nullptr,
                   "TrialBatch: begin_checkpoint()/begin_prepared() not called");
-  SEHC_ASSERT_MSG(base_->size() == eval_->num_tasks_,
+  SEHC_ASSERT_MSG(base_->size() == eval_->model_->num_tasks,
                   "TrialBatch: base string size mismatch");
   const std::size_t n = trials_.size();
   // Batch of N counts exactly N trials — the evals currency stays exact.
@@ -171,7 +171,7 @@ const std::vector<double>& Evaluator::TrialBatch::evaluate(double bound) {
 void Evaluator::TrialBatch::compact_lane(std::size_t lane, std::size_t last,
                                          std::size_t from, std::size_t upto) {
   const std::size_t batch = trials_.size();
-  const std::size_t l = eval_->num_machines_;
+  const std::size_t l = eval_->model_->num_machines;
   double* const al = avail_lanes_.data();
   double* const fl = finish_lanes_.data();
   for (std::size_t m = 0; m < l; ++m) al[m * batch + lane] = al[m * batch + last];
@@ -194,8 +194,9 @@ void Evaluator::TrialBatch::compact_lane(std::size_t lane, std::size_t last,
 // last live lane's SoA columns into the freed slot (dense lanes stay dense).
 void Evaluator::TrialBatch::evaluate_uniform(double bound) {
   const Evaluator& ev = *eval_;
-  const std::size_t k = ev.num_tasks_;
-  const std::size_t l = ev.num_machines_;
+  const Model& md = *ev.model_;
+  const std::size_t k = md.num_tasks;
+  const std::size_t l = md.num_machines;
   const std::size_t batch = trials_.size();
   const Segment* const segs = base_->segments().data();
   const std::size_t* const pos = base_->positions().data();
@@ -231,56 +232,57 @@ void Evaluator::TrialBatch::evaluate_uniform(double bound) {
   std::size_t live = batch;
   for (std::size_t i = from; i < k && live > 0; ++i) {
     const TaskId t = segs[i].task;
-    const std::uint32_t lo = ev.pred_off_[t];
-    const std::uint32_t hi = ev.pred_off_[t + 1];
     if (i == edit_pos) {
-      // The edited segment: machine differs per lane, so each lane gathers
-      // its own availability and transfer rows. Happens once per sweep.
+      // The edited segment: machine differs per lane, so each lane runs the
+      // recurrence with its own availability and transfer rows. Happens
+      // once per sweep.
       for (std::size_t lane = 0; lane < live; ++lane) {
         const MachineId m = lane_machine_[lane];
-        double r = 0.0;
-        for (std::uint32_t e = lo; e < hi; ++e) {
-          const TaskId src = ev.pred_src_[e];
-          const MachineId pm = segs[pos[src]].machine;
-          const double f =
-              pos[src] >= from ? fl[src * batch + lane] : shared_finish[src];
-          r = std::max(r, f + ev.transfer_row(pm, m)[ev.pred_item_[e]]);
-        }
-        const double start = std::max(r, al[m * batch + lane]);
-        const double fin = start + ev.exec_[m * k + t];
-        fl[t * batch + lane] = fin;
-        al[m * batch + lane] = fin;
-        if (fin > ms[lane]) ms[lane] = fin;
+        const Times r =
+            md.schedule(t, m, al[m * batch + lane], [&](TaskId src) {
+              const std::size_t p = pos[src];
+              const double f =
+                  p >= from ? fl[src * batch + lane] : shared_finish[src];
+              return Pred{f, segs[p].machine};
+            });
+        fl[t * batch + lane] = r.finish;
+        al[m * batch + lane] = r.finish;
+        if (r.finish > ms[lane]) ms[lane] = r.finish;
       }
     } else {
+      // Every lane schedules the same segment, so the recurrence runs in its
+      // strip form: the same arithmetic as Model::schedule, restructured
+      // into lane-minor passes (ready_maxadd / schedule_update) that the
+      // SIMD kernels vectorise. Predecessors fully inside the shared prefix
+      // contribute one scalar ready time for all lanes; predecessors
+      // simulated in the suffix (or produced by the edited task, whose
+      // machine varies) contribute one contiguous lane-minor pass each.
       const MachineId m = segs[i].machine;
-      // Predecessors fully inside the shared prefix contribute one scalar
-      // ready time for all lanes; predecessors simulated in the suffix (or
-      // produced by the edited task, whose machine varies) contribute one
-      // contiguous lane-minor pass each.
+      const std::uint32_t lo = md.pred_off[t];
+      const std::uint32_t hi = md.pred_off[t + 1];
       double ready0 = 0.0;
       bool lane_preds = false;
       for (std::uint32_t e = lo; e < hi; ++e) {
-        const TaskId src = ev.pred_src_[e];
+        const TaskId src = md.pred_src[e];
         if (pos[src] >= from) {
           lane_preds = true;
           continue;
         }
         const MachineId pm = segs[pos[src]].machine;
         ready0 = std::max(
-            ready0, shared_finish[src] + ev.transfer_row(pm, m)[ev.pred_item_[e]]);
+            ready0, shared_finish[src] + md.transfer_row(pm, m)[md.pred_item[e]]);
       }
       std::fill_n(ready, live, ready0);
       if (lane_preds) {
         for (std::uint32_t e = lo; e < hi; ++e) {
-          const TaskId src = ev.pred_src_[e];
+          const TaskId src = md.pred_src[e];
           if (pos[src] < from) continue;
           const double* const fsrc = fl + src * batch;
           if (src == edit_task) {
             // Transfer row depends on the per-lane machine of the edit.
-            const DataId item = ev.pred_item_[e];
+            const DataId item = md.pred_item[e];
             for (std::size_t lane = 0; lane < live; ++lane) {
-              const double tr = ev.transfer_row(lane_machine_[lane], m)[item];
+              const double tr = md.transfer_row(lane_machine_[lane], m)[item];
               ready[lane] = std::max(ready[lane], fsrc[lane] + tr);
             }
           } else {
@@ -288,20 +290,20 @@ void Evaluator::TrialBatch::evaluate_uniform(double bound) {
             // vectorizable max-accumulate strip (elementwise over
             // independent lanes, so bit-identical at any width).
             const MachineId pm = segs[pos[src]].machine;
-            const double tr = ev.transfer_row(pm, m)[ev.pred_item_[e]];
+            const double tr = md.transfer_row(pm, m)[md.pred_item[e]];
             ops_->ready_maxadd(ready, fsrc, tr, live);
           }
         }
       }
-      const double exec = ev.exec_[m * k + t];
+      const double exec = md.exec[m * k + t];
       double* const am = al + m * batch;
       double* const ft = fl + t * batch;
       // Start/finish/makespan update as one width-W strip sweep.
       ops_->schedule_update(ready, am, ft, ms, exec, live);
     }
-    // Retire lanes past the bound (scalar prunes inside the segment loop;
-    // checking once per position yields the same +infinity results because
-    // the running makespan is monotone).
+    // Retire lanes past the bound (checking once per position yields the
+    // same +infinity results as checking per segment because the running
+    // makespan is monotone).
     for (std::size_t lane = 0; lane < live;) {
       if (ms[lane] > bound) {
         const std::size_t last = live - 1;
@@ -321,108 +323,73 @@ void Evaluator::TrialBatch::evaluate_uniform(double bound) {
 }
 
 // General path: any mix of trial kinds, per-trial start positions (prepared
-// mode), virtual kMove resolution. Still one position-major sweep with a
-// trial-minor inner loop; pruned trials are dropped from the live-index
-// list. Per-lane branching makes this path scalar-per-lane, but shared
-// position traversal and the absence of apply/undo string mutation keep it
-// competitive — and every lane replays the exact scalar operation sequence.
+// mode), virtual kMove resolution. Lanes diverge in segments, start
+// positions and predecessor sources, so nothing vectorises across them:
+// each trial runs the recurrence on its own from its start position to the
+// end (or to the bound) in one reused finish column and availability row.
+// Positions >= the trial's start are written before any later position
+// reads them (the trial string is topological), so stale values from the
+// previous trial are never read.
 void Evaluator::TrialBatch::evaluate_general(double bound) {
   const Evaluator& ev = *eval_;
-  const std::size_t k = ev.num_tasks_;
-  const std::size_t l = ev.num_machines_;
-  const std::size_t batch = trials_.size();
+  const Model& md = *ev.model_;
+  const std::size_t k = md.num_tasks;
+  const std::size_t l = md.num_machines;
   const bool checkpoint = state_ == nullptr;
   const Segment* const base_segs = base_->segments().data();
   const std::size_t* const bpos = base_->positions().data();
   SEHC_ASSERT_MSG(checkpoint || state_->ready(),
                   "TrialBatch: prepared state not ready");
 
-  avail_lanes_.resize(l * batch);
-  finish_lanes_.resize(k * batch);
-  makespan_.assign(batch, 0.0);
-  from_.resize(batch);
-  live_.clear();
-
-  std::size_t min_from = k;
-  pruned_count_ = 0;
-  for (std::size_t i = 0; i < batch; ++i) {
-    const std::size_t f = trial_from(trials_[i]);
-    SEHC_ASSERT_MSG(f <= k, "TrialBatch: trial start out of range");
-    from_[i] = f;
-    const double entry =
-        checkpoint ? ev.cp_makespan_ : state_->prefix_makespan[f];
-    if (entry > bound) {  // scalar entry check: results_[i] = +inf
-      ++pruned_count_;
-      continue;
-    }
-    if (f >= k) {
-      results_[i] = entry;  // empty suffix: the prefix makespan is exact
-      continue;
-    }
-    makespan_[i] = entry;
-    const double* const row =
-        checkpoint ? ev.cp_avail_.data() : state_->avail_rows.data() + f * l;
-    for (std::size_t m = 0; m < l; ++m) avail_lanes_[m * batch + i] = row[m];
-    live_.push_back(i);
-    min_from = std::min(min_from, f);
-  }
-
+  avail_lanes_.resize(l);
+  finish_lanes_.resize(k);
+  double* const avail = avail_lanes_.data();
+  double* const finish = finish_lanes_.data();
   const double* const shared_finish =
       checkpoint ? ev.finish_.data() : state_->finish.data();
-  double* const al = avail_lanes_.data();
-  double* const fl = finish_lanes_.data();
 
-  for (std::size_t p = min_from; p < k && !live_.empty(); ++p) {
-    for (std::size_t idx = 0; idx < live_.size();) {
-      const std::size_t lane = live_[idx];
-      if (p < from_[lane]) {
-        ++idx;
-        continue;
+  pruned_count_ = 0;
+  for (std::size_t i = 0; i < trials_.size(); ++i) {
+    const Trial& tr = trials_[i];
+    const std::size_t from = trial_from(tr);
+    SEHC_ASSERT_MSG(from <= k, "TrialBatch: trial start out of range");
+    double makespan =
+        checkpoint ? ev.cp_makespan_ : state_->prefix_makespan[from];
+    std::copy_n(
+        checkpoint ? ev.cp_avail_.data() : state_->avail_rows.data() + from * l,
+        l, avail);
+    const auto pred = [&](TaskId src) {
+      std::size_t p = 0;
+      MachineId machine = 0;
+      if (tr.kind == Kind::kString) {
+        p = tr.str->positions()[src];
+        machine = tr.str->segments()[p].machine;
+      } else {
+        // kReassign keeps every position; kMove shifts positions only inside
+        // [from, max(old,new)], which never crosses the `from` boundary —
+        // the base position decides suffix membership either way, and only
+        // the moved task changes machine.
+        p = bpos[src];
+        machine = src == tr.task ? tr.machine : base_segs[p].machine;
       }
-      const Trial& tr = trials_[lane];
+      return Pred{p >= from ? finish[src] : shared_finish[src], machine};
+    };
+    // The entry check, then one check per segment: the running makespan is
+    // monotone, so the first excess is final.
+    for (std::size_t p = from; p < k && makespan <= bound; ++p) {
       const Segment seg = trial_segment(tr, p);
-      const TaskId t = seg.task;
-      const MachineId m = seg.machine;
-      double ready = 0.0;
-      const std::uint32_t lo = ev.pred_off_[t];
-      const std::uint32_t hi = ev.pred_off_[t + 1];
-      for (std::uint32_t e = lo; e < hi; ++e) {
-        const TaskId src = ev.pred_src_[e];
-        MachineId pm;
-        bool in_suffix;
-        if (tr.kind == Kind::kString) {
-          const std::size_t spos = tr.str->positions()[src];
-          in_suffix = spos >= from_[lane];
-          pm = tr.str->segments()[spos].machine;
-        } else {
-          // kReassign keeps every position; kMove shifts positions only
-          // inside [from, max(old,new)], which never crosses the `from`
-          // boundary — the base position decides suffix membership either
-          // way, and only the moved task changes machine.
-          in_suffix = bpos[src] >= from_[lane];
-          pm = src == tr.task ? tr.machine : base_segs[bpos[src]].machine;
-        }
-        const double f =
-            in_suffix ? fl[src * batch + lane] : shared_finish[src];
-        ready = std::max(ready, f + ev.transfer_row(pm, m)[ev.pred_item_[e]]);
-      }
-      const double start = std::max(ready, al[m * batch + lane]);
-      const double fin = start + ev.exec_[m * k + t];
-      fl[t * batch + lane] = fin;
-      al[m * batch + lane] = fin;
-      if (fin > makespan_[lane]) {
-        makespan_[lane] = fin;
-        if (fin > bound) {  // prune: drop the trial from the live list
-          live_[idx] = live_.back();
-          live_.pop_back();
-          ++pruned_count_;
-          continue;
-        }
-      }
-      ++idx;
+      const Times r =
+          md.schedule(seg.task, seg.machine, avail[seg.machine], pred);
+      finish[seg.task] = r.finish;
+      avail[seg.machine] = r.finish;
+      makespan = std::max(makespan, r.finish);
+    }
+    if (makespan > bound) {
+      ++pruned_count_;  // results_[i] stays +infinity
+    } else {
+      results_[i] = makespan;
     }
   }
-  for (const std::size_t lane : live_) results_[lane] = makespan_[lane];
 }
 
 }  // namespace sehc

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "core/rng.h"
+#include "naive_eval.h"
 #include "workload/generator.h"
 
 namespace sehc {
@@ -122,7 +128,7 @@ TEST(Evaluator, TrialModeMatchesFullEvaluation) {
       s.move_task(t, pos);
       for (MachineId m = 0; m < w.num_machines(); ++m) {
         s.set_machine(t, m);
-        ASSERT_DOUBLE_EQ(trial_eval.trial_makespan(s), ref_eval.makespan(s))
+        ASSERT_DOUBLE_EQ(checkpoint_trial(trial_eval, s), ref_eval.makespan(s))
             << "task " << t << " pos " << pos << " machine " << m;
       }
     }
@@ -134,7 +140,7 @@ TEST(Evaluator, TrialModeWithZeroPrefixIsFullEvaluation) {
   Evaluator eval(w);
   const SolutionString s = figure2_string();
   eval.begin_trials(s, 0);
-  EXPECT_DOUBLE_EQ(eval.trial_makespan(s), 2100.0);
+  EXPECT_DOUBLE_EQ(checkpoint_trial(eval, s), 2100.0);
 }
 
 TEST(Evaluator, TrialModeWithFullPrefixReturnsMakespan) {
@@ -142,7 +148,7 @@ TEST(Evaluator, TrialModeWithFullPrefixReturnsMakespan) {
   Evaluator eval(w);
   const SolutionString s = figure2_string();
   eval.begin_trials(s, s.size());
-  EXPECT_DOUBLE_EQ(eval.trial_makespan(s), 2100.0);
+  EXPECT_DOUBLE_EQ(checkpoint_trial(eval, s), 2100.0);
 }
 
 TEST(Evaluator, BeginTrialsRejectsBadPrefix) {
@@ -167,6 +173,89 @@ TEST(Evaluator, ReuseAcrossCallsIsConsistent) {
     const double m2 = Evaluator(w).makespan(s);  // fresh evaluator
     EXPECT_DOUBLE_EQ(m1, m2);
   }
+}
+
+/// Leaves non-trivial state behind: a trial count, a prepared default
+/// state and a half-length rolling checkpoint.
+void warm_up(const Evaluator& eval, const SolutionString& s) {
+  eval.makespan(s);
+  eval.prepare(s);
+  eval.begin_trials(s, s.size() / 2);
+}
+
+/// Everything one evaluator exposes, read in an order that uses the warmed
+/// checkpoint and prepared state before anything re-simulates.
+struct Observed {
+  std::vector<double> checkpoint;
+  std::vector<double> prepared;
+  ScheduleTimes times;
+  double makespan = 0.0;
+  std::size_t trials = 0;
+};
+
+Observed observe(const Evaluator& eval, const SolutionString& s) {
+  const std::size_t l = eval.workload().num_machines();
+  const TaskId last = s.segment(s.size() - 1).task;
+  const TaskId first = s.segment(0).task;
+  Observed o;
+  Evaluator::TrialBatch batch(eval);
+  batch.begin_checkpoint(s);
+  for (MachineId m = 0; m < l; ++m) batch.add_reassign(last, m);
+  o.checkpoint = batch.evaluate(std::numeric_limits<double>::infinity());
+  batch.begin_prepared(s);
+  for (MachineId m = 0; m < l; ++m) batch.add_reassign(first, m);
+  batch.add_move(last, s.size() - 1, 0);
+  o.prepared = batch.evaluate(std::numeric_limits<double>::infinity());
+  eval.evaluate_into(s, o.times);
+  o.makespan = eval.makespan(s);
+  o.trials = eval.trial_count();
+  return o;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_bit_identical(const Observed& got, const Observed& want) {
+  EXPECT_TRUE(bits_equal(got.checkpoint, want.checkpoint));
+  EXPECT_TRUE(bits_equal(got.prepared, want.prepared));
+  EXPECT_TRUE(bits_equal(got.times.start, want.times.start));
+  EXPECT_TRUE(bits_equal(got.times.finish, want.times.finish));
+  EXPECT_EQ(0, std::memcmp(&got.times.makespan, &want.times.makespan,
+                           sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(&got.makespan, &want.makespan, sizeof(double)));
+  EXPECT_EQ(got.trials, want.trials);
+}
+
+TEST(Evaluator, CopiesOutliveTheirSourceAndMatchAFreshEvaluator) {
+  WorkloadParams p;
+  p.tasks = 30;
+  p.machines = 5;
+  p.seed = 21;
+  const Workload w = make_workload(p);
+  Rng rng(4);
+  const SolutionString s =
+      random_initial_solution(w.graph(), w.num_machines(), rng);
+
+  Evaluator fresh(w);
+  warm_up(fresh, s);
+  const Observed want = observe(fresh, s);
+
+  // The copy-assignment target starts out bound to a different workload, so
+  // assignment must replace every piece of it.
+  const Workload other = figure1_workload();
+  Evaluator assigned(other);
+  assigned.makespan(figure2_string());
+  std::optional<Evaluator> source;
+  source.emplace(w);
+  warm_up(*source, s);
+  Evaluator constructed(*source);
+  assigned = *source;
+  source.reset();
+
+  expect_bit_identical(observe(constructed, s), want);
+  expect_bit_identical(observe(assigned, s), want);
 }
 
 }  // namespace

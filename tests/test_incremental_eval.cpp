@@ -2,12 +2,12 @@
 //
 // Every optimization in the engine (rolling checkpoints, exact pruning, the
 // CSR hot path, the prepared per-position snapshots) claims BIT-IDENTICAL
-// results to a naive full re-evaluation. This file keeps an independent
-// naive reference implementation — the pre-engine evaluation loop with its
-// in_edges() -> edge(d) double indirection — and asserts equality of
-// makespans, schedules, per-iteration statistics, and RNG stream positions
-// (i.e. tie-break sampling behavior) across randomized workloads drawn from
-// all workload classes and y_limit settings.
+// results to a naive full re-evaluation. This file compares against the
+// independent naive reference in naive_eval.h — the pre-engine evaluation
+// loop with its in_edges() -> edge(d) double indirection — and asserts
+// equality of makespans, schedules, per-iteration statistics, and RNG
+// stream positions (i.e. tie-break sampling behavior) across randomized
+// workloads drawn from all workload classes and y_limit settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "heuristics/annealing.h"
 #include "heuristics/gsa.h"
 #include "heuristics/tabu.h"
+#include "naive_eval.h"
 #include "se/allocation.h"
 #include "se/se.h"
 #include "workload/generator.h"
@@ -32,37 +33,6 @@ namespace sehc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Naive reference: one string pass through the graph's edge lists, exactly
-/// the historical evaluator loop. Shares no code with Evaluator's CSR path.
-ScheduleTimes naive_evaluate(const Workload& w, const SolutionString& s) {
-  const TaskGraph& g = w.graph();
-  ScheduleTimes out;
-  out.start.assign(w.num_tasks(), 0.0);
-  out.finish.assign(w.num_tasks(), 0.0);
-  std::vector<double> machine_avail(w.num_machines(), 0.0);
-  for (const Segment& seg : s.segments()) {
-    const TaskId t = seg.task;
-    const MachineId m = seg.machine;
-    double ready = 0.0;
-    for (DataId d : g.in_edges(t)) {
-      const DagEdge& e = g.edge(d);
-      const MachineId pm = s.machine_of(e.src);
-      ready = std::max(ready, out.finish[e.src] + w.transfer(pm, m, d));
-    }
-    const double start = std::max(ready, machine_avail[m]);
-    const double finish = start + w.exec(m, t);
-    out.start[t] = start;
-    out.finish[t] = finish;
-    machine_avail[m] = finish;
-    out.makespan = std::max(out.makespan, finish);
-  }
-  return out;
-}
-
-double naive_makespan(const Workload& w, const SolutionString& s) {
-  return naive_evaluate(w, s).makespan;
-}
 
 /// The pre-engine allocation step: full suffix re-simulation from range.lo
 /// for every (position, machine) combination, no checkpoint rolling, no
@@ -177,7 +147,7 @@ TEST(IncrementalEval, RollingCheckpointTrialsMatchNaive) {
         ASSERT_EQ(eval.checkpoint_prefix(), pos);
         for (MachineId m = 0; m < w.num_machines(); ++m) {
           s.set_machine(t, m);
-          ASSERT_EQ(eval.trial_makespan(s), naive_makespan(w, s))
+          ASSERT_EQ(checkpoint_trial(eval, s), naive_makespan(w, s))
               << p.describe() << " t=" << t << " pos=" << pos;
         }
         s.set_machine(t, original_machine);
@@ -211,12 +181,12 @@ TEST(IncrementalEval, PrunedTrialsAreExactUpToTheBound) {
     const double exact = naive_makespan(w, s);
     // A bound at, above, and far above the exact value returns it exactly
     // (strict pruning keeps ties distinguishable)...
-    ASSERT_EQ(eval.trial_makespan(s, exact), exact);
-    ASSERT_EQ(eval.trial_makespan(s, exact * 2), exact);
-    ASSERT_EQ(eval.trial_makespan(s, kInf), exact);
+    ASSERT_EQ(checkpoint_trial(eval, s, exact), exact);
+    ASSERT_EQ(checkpoint_trial(eval, s, exact * 2), exact);
+    ASSERT_EQ(checkpoint_trial(eval, s, kInf), exact);
     // ...while a bound strictly below it prunes to +infinity.
-    ASSERT_EQ(eval.trial_makespan(s, exact * 0.5), kInf);
-    ASSERT_EQ(eval.trial_makespan(s, std::nextafter(exact, 0.0)), kInf);
+    ASSERT_EQ(checkpoint_trial(eval, s, exact * 0.5), kInf);
+    ASSERT_EQ(checkpoint_trial(eval, s, std::nextafter(exact, 0.0)), kInf);
   }
 }
 
@@ -243,10 +213,10 @@ TEST(IncrementalEval, PreparedTrialsMatchNaiveUnderRandomSingleMoves) {
       s.set_machine(t, new_machine);
       const std::size_t from = std::min(old_pos, new_pos);
       const double exact = naive_makespan(w, s);
-      ASSERT_EQ(eval.prepared_trial(s, from, kInf), exact) << p.describe();
-      ASSERT_EQ(eval.prepared_trial(s, from, exact), exact);
+      ASSERT_EQ(prepared_trial(eval, s, from, kInf), exact) << p.describe();
+      ASSERT_EQ(prepared_trial(eval, s, from, exact), exact);
       if (exact > 0.0) {
-        ASSERT_EQ(eval.prepared_trial(s, from, std::nextafter(exact, 0.0)),
+        ASSERT_EQ(prepared_trial(eval, s, from, std::nextafter(exact, 0.0)),
                   kInf);
       }
       if (trial % 3 == 0) {

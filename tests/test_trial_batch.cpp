@@ -1,10 +1,11 @@
 // Differential suite for Evaluator::TrialBatch — the batched SoA trial
 // kernel — and the PreparedLru cache behind the GA/GSA producers.
 //
-// The batch claims BIT-IDENTICAL results to running the scalar reference
-// paths (trial_makespan / prepared_trial) once per trial with the same
-// bound. This file pins that claim per trial kind (reassign / move /
-// string), per mode (rolling checkpoint / prepared state), and across the
+// The batch claims BIT-IDENTICAL results to a from-scratch evaluation of
+// every trial string, clamped by the bound (exact at or below it, +infinity
+// strictly above it). This file pins that claim against the naive reference
+// (naive_eval.h) per trial kind (reassign / move / string), per mode
+// (rolling checkpoint / prepared state), and across the
 // edge cases: the empty batch, a batch of one, all trials pruned, mixed
 // prune/survive lane compaction, a batch spanning extend_checkpoint()
 // calls, and exactness of the trial counter (a batch of N counts N).
@@ -21,6 +22,7 @@
 
 #include "core/rng.h"
 #include "ga/ga.h"
+#include "naive_eval.h"
 #include "sched/encoding.h"
 #include "sched/prepared_lru.h"
 #include "sched/simd.h"
@@ -97,29 +99,26 @@ TEST(TrialBatch, BatchOfOneMatchesScalarExactly) {
   const SolutionString s = random_solution(w, rng);
 
   Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
 
   // Checkpoint mode, single reassign trial, with and without pruning.
   const TaskId t = static_cast<TaskId>(s.size() / 2);
   batch_eval.begin_trials(s, 0);
-  scalar_eval.begin_trials(s, 0);
   SolutionString probe = s;
   for (MachineId m = 0; m < w.num_machines(); ++m) {
     probe.set_machine(t, m);
-    const double exact = scalar_eval.trial_makespan(probe, kInf);
+    const double exact = naive_makespan(w, probe);
     for (const double bound : {kInf, exact, exact * 0.5}) {
       batch.begin_checkpoint(s);
       batch.add_reassign(t, m);
       const std::vector<double>& lens = batch.evaluate(bound);
       ASSERT_EQ(lens.size(), 1u);
-      EXPECT_EQ(lens[0], scalar_eval.trial_makespan(probe, bound));
+      EXPECT_EQ(lens[0], naive_trial(w, probe, bound));
     }
   }
 
   // Prepared mode, single move trial.
   batch_eval.prepare(s);
-  scalar_eval.prepare(s);
   for (int i = 0; i < 10; ++i) {
     const MoveDraw m = draw_move(s, w, rng);
     const SolutionString moved = apply_move(s, m);
@@ -127,8 +126,7 @@ TEST(TrialBatch, BatchOfOneMatchesScalarExactly) {
     batch.add_move(m.task, m.new_pos, m.machine);
     const std::vector<double>& lens = batch.evaluate(kInf);
     ASSERT_EQ(lens.size(), 1u);
-    EXPECT_EQ(lens[0],
-              scalar_eval.prepared_trial(moved, m.suffix_start(), kInf));
+    EXPECT_EQ(lens[0], naive_makespan(w, moved));
   }
 }
 
@@ -146,11 +144,9 @@ TEST(TrialBatch, UniformReassignMatchesScalarAcrossCheckpointExtensions) {
   const ValidRange range = s.valid_range(w.graph(), t);
 
   Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
 
   batch_eval.begin_trials(s, range.lo);
-  scalar_eval.begin_trials(s, range.lo);
   s.move_task(t, range.lo);
   batch.begin_checkpoint(s);
 
@@ -158,22 +154,21 @@ TEST(TrialBatch, UniformReassignMatchesScalarAcrossCheckpointExtensions) {
   for (std::size_t pos = range.lo; pos <= range.hi; ++pos) {
     for (MachineId m = 0; m < w.num_machines(); ++m) batch.add_reassign(t, m);
     // The batch contract: one shared bound for the whole round (the bound
-    // at round start), not the within-round tightening a scalar loop could
-    // do — so the scalar replay pins against the same round-start bound.
+    // at round start), not the within-round tightening a one-at-a-time loop
+    // could do — so the reference is clamped by the same round-start bound.
     const double round_bound = best_len;
     const std::vector<double>& lens = batch.evaluate(round_bound);
     ASSERT_EQ(lens.size(), w.num_machines());
     SolutionString probe = s;
     for (MachineId m = 0; m < w.num_machines(); ++m) {
       probe.set_machine(t, m);
-      const double scalar = scalar_eval.trial_makespan(probe, round_bound);
-      EXPECT_EQ(lens[m], scalar) << "pos " << pos << " machine " << m;
-      best_len = std::min(best_len, scalar);  // +inf never lowers the bound
+      const double want = naive_trial(w, probe, round_bound);
+      EXPECT_EQ(lens[m], want) << "pos " << pos << " machine " << m;
+      best_len = std::min(best_len, want);  // +inf never lowers the bound
     }
     if (pos == range.hi) break;
     s.move_task(t, pos + 1);
     batch_eval.extend_checkpoint(s);
-    scalar_eval.extend_checkpoint(s);
   }
 }
 
@@ -185,9 +180,7 @@ TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
   const SolutionString s = random_solution(w, rng);
 
   Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
-  scalar_eval.prepare(s);
 
   PreparedState owned;
   batch_eval.prepare(s, owned);
@@ -217,15 +210,12 @@ TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
     const std::vector<double>& lens = batch.evaluate(kInf);
     ASSERT_EQ(lens.size(), 6u + w.num_machines());
     for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(lens[i], scalar_eval.prepared_trial(
-                             strings[i], moves[i].suffix_start(), kInf))
-          << "trial " << i;
+      EXPECT_EQ(lens[i], naive_makespan(w, strings[i])) << "trial " << i;
     }
     SolutionString probe = s;
     for (MachineId m = 0; m < w.num_machines(); ++m) {
       probe.set_machine(rt, m);
-      EXPECT_EQ(lens[6 + m],
-                scalar_eval.prepared_trial(probe, s.position_of(rt), kInf));
+      EXPECT_EQ(lens[6 + m], naive_makespan(w, probe));
     }
   }
 }
@@ -233,16 +223,14 @@ TEST(TrialBatch, MixedTrialKindsPreparedMatchScalar) {
 TEST(TrialBatch, PruningAndCompactionMatchScalarLaneForLane) {
   // A bound around the median retires some lanes mid-sweep and keeps
   // others: every surviving value must be exact, every pruned value must be
-  // +infinity exactly where the scalar prunes.
+  // +infinity exactly where the exact makespan exceeds the bound.
   const Workload w = small_workload(105);
   Rng rng(5);
   const SolutionString s = random_solution(w, rng);
 
   Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
   batch_eval.prepare(s);
-  scalar_eval.prepare(s);
 
   std::vector<MoveDraw> moves;
   std::vector<SolutionString> moved;
@@ -250,9 +238,7 @@ TEST(TrialBatch, PruningAndCompactionMatchScalarLaneForLane) {
   for (int i = 0; i < 16; ++i) {
     moves.push_back(draw_move(s, w, rng));
     moved.push_back(apply_move(s, moves.back()));
-    exact.push_back(
-        scalar_eval.prepared_trial(moved.back(), moves.back().suffix_start(),
-                                   kInf));
+    exact.push_back(naive_makespan(w, moved.back()));
   }
   std::vector<double> sorted = exact;
   std::sort(sorted.begin(), sorted.end());
@@ -265,9 +251,8 @@ TEST(TrialBatch, PruningAndCompactionMatchScalarLaneForLane) {
     ASSERT_EQ(lens.size(), moves.size());
     std::size_t pruned = 0;
     for (std::size_t i = 0; i < moves.size(); ++i) {
-      const double scalar = scalar_eval.prepared_trial(
-          moved[i], moves[i].suffix_start(), bound);
-      EXPECT_EQ(lens[i], scalar) << "trial " << i << " bound " << bound;
+      EXPECT_EQ(lens[i], naive_trial(w, moved[i], bound))
+          << "trial " << i << " bound " << bound;
       // The pruning contract itself: exact at or below the bound, +infinity
       // strictly above it.
       if (exact[i] <= bound) {
@@ -285,23 +270,21 @@ TEST(TrialBatch, PruningAndCompactionMatchScalarLaneForLane) {
 
 TEST(TrialBatch, UniformPathPrunesAndCompactsLikeScalar) {
   // Same prune/survive pinning for the uniform checkpoint fast path (dense
-  // lane swap compaction instead of the live-index list).
+  // lane swap compaction instead of per-trial early exits).
   const Workload w = small_workload(106);
   Rng rng(6);
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
 
   Evaluator batch_eval(w);
-  Evaluator scalar_eval(w);
   Evaluator::TrialBatch batch(batch_eval);
   batch_eval.begin_trials(s, 0);
-  scalar_eval.begin_trials(s, 0);
 
   std::vector<double> exact;
   SolutionString probe = s;
   for (MachineId m = 0; m < w.num_machines(); ++m) {
     probe.set_machine(t, m);
-    exact.push_back(scalar_eval.trial_makespan(probe, kInf));
+    exact.push_back(naive_makespan(w, probe));
   }
   std::vector<double> sorted = exact;
   std::sort(sorted.begin(), sorted.end());
@@ -312,7 +295,7 @@ TEST(TrialBatch, UniformPathPrunesAndCompactsLikeScalar) {
     const std::vector<double>& lens = batch.evaluate(bound);
     for (MachineId m = 0; m < w.num_machines(); ++m) {
       probe.set_machine(t, m);
-      EXPECT_EQ(lens[m], scalar_eval.trial_makespan(probe, bound))
+      EXPECT_EQ(lens[m], naive_trial(w, probe, bound))
           << "machine " << m << " bound " << bound;
     }
   }
@@ -349,12 +332,9 @@ TEST(TrialBatch, CountsExactlyBatchSizeTrials) {
   EXPECT_EQ(eval.trial_count(), 6u);
   EXPECT_TRUE(batch.empty());
 
-  // The empty-suffix trial bypasses the sweep yet still matches the scalar
-  // path bit for bit (the full prepared makespan, never pruned at bound 0
-  // only if the prefix itself exceeds it — pin against scalar).
-  Evaluator scalar_eval(w);
-  scalar_eval.prepare(s);
-  EXPECT_EQ(lens[5], scalar_eval.prepared_trial(s, s.size(), 0.0));
+  // The empty-suffix trial bypasses the sweep yet still honours the pruning
+  // contract: the full prepared makespan, clamped by bound 0.
+  EXPECT_EQ(lens[5], naive_trial(w, s, 0.0));
 
   // Counting holds across modes and repeated rounds.
   eval.begin_trials(s, 0);
@@ -386,10 +366,10 @@ TEST(TrialBatch, ClearDropsPendingTrialsWithoutCounting) {
 }
 
 TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
-  // The pruned metric is tracked where lanes retire (compaction / live-list
-  // drops / entry checks), never by rescanning results_: pin it against an
-  // explicit +infinity count of the returned results, in both modes and
-  // across the entry-prune and empty-suffix corners.
+  // The pruned metric is tracked where lanes retire (compaction / per-trial
+  // early exits / entry checks), never by rescanning results_: pin it
+  // against an explicit +infinity count of the returned results, in both
+  // modes and across the entry-prune and empty-suffix corners.
   const Workload w = small_workload(111);
   Rng rng(11);
   const SolutionString s = random_solution(w, rng);
@@ -411,12 +391,10 @@ TEST(TrialBatch, PrunedMetricCountsRetiredLanes) {
   eval.begin_trials(s, 0);
   std::vector<double> exact;
   {
-    Evaluator scalar_eval(w);
-    scalar_eval.begin_trials(s, 0);
     SolutionString probe = s;
     for (MachineId m = 0; m < w.num_machines(); ++m) {
       probe.set_machine(t, m);
-      exact.push_back(scalar_eval.trial_makespan(probe, kInf));
+      exact.push_back(naive_makespan(w, probe));
     }
   }
   std::vector<double> sorted = exact;
@@ -488,9 +466,7 @@ TEST(TrialBatchSimd, EdgeShapeBatchSizesMatchScalarBitForBit) {
   const SolutionString s = random_solution(w, rng);
   const TaskId t = static_cast<TaskId>(rng.below(s.size()));
 
-  // Scalar per-trial reference for the largest shape.
-  Evaluator scalar_eval(w);
-  scalar_eval.begin_trials(s, 0);
+  // Naive per-trial reference.
   SolutionString probe = s;
 
   for (const std::size_t n : {std::size_t{1}, W - 1, W, W + 1, 2 * W + 3}) {
@@ -505,7 +481,7 @@ TEST(TrialBatchSimd, EdgeShapeBatchSizesMatchScalarBitForBit) {
         << "batch size " << n;
     for (std::size_t i = 0; i < n; ++i) {
       probe.set_machine(t, static_cast<MachineId>(i % w.num_machines()));
-      EXPECT_EQ(simd[i], scalar_eval.trial_makespan(probe, kInf))
+      EXPECT_EQ(simd[i], naive_makespan(w, probe))
           << "batch size " << n << " lane " << i;
     }
   }
@@ -682,12 +658,22 @@ TEST(PreparedLru, CachedStatesAreBitIdenticalToFreshPrepare) {
   Evaluator reference(w);
   reference.prepare(s);
 
+  // The same moves as one batch against the cached state and one against a
+  // freshly prepared default state.
+  Evaluator::TrialBatch cached_batch(eval);
+  Evaluator::TrialBatch fresh_batch(reference);
+  cached_batch.begin_prepared(s, cached);
+  fresh_batch.begin_prepared(s);
   for (int i = 0; i < 8; ++i) {
     const MoveDraw m = draw_move(s, w, rng);
-    const SolutionString moved = apply_move(s, m);
-    EXPECT_EQ(eval.prepared_trial(moved, m.suffix_start(), kInf, cached),
-              reference.prepared_trial(moved, m.suffix_start(), kInf));
+    cached_batch.add_move(m.task, m.new_pos, m.machine);
+    fresh_batch.add_move(m.task, m.new_pos, m.machine);
   }
+  const std::vector<double>& got = cached_batch.evaluate(kInf);
+  const std::vector<double>& want = fresh_batch.evaluate(kInf);
+  ASSERT_EQ(got.size(), 8u);
+  ASSERT_EQ(want.size(), 8u);
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), 8 * sizeof(double)));
 }
 
 }  // namespace
